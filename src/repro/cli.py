@@ -78,6 +78,16 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    """argparse type: a TCP port number in [0, 65535]."""
+    value = _non_negative_int(text)
+    if value > 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be within [0, 65535], got {value}"
+        )
+    return value
+
+
 def _positive_float(text: str) -> float:
     """argparse type: a float strictly greater than zero."""
     try:
@@ -155,6 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit every grid cell's RunResult as JSON "
                             "instead of the rendered table")
     _add_jobs(fig_p)
+    _add_dispatch(fig_p)
     _add_no_result_cache(fig_p)
     _add_supervision(fig_p)
 
@@ -180,6 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="where to write the resume manifest if this "
                               "run is interrupted (default: %(default)s)")
     _add_jobs(paper_p)
+    _add_dispatch(paper_p)
     _add_no_result_cache(paper_p)
     _add_supervision(paper_p, default_attempts=2)
 
@@ -195,6 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     abl_p.add_argument("--workload", default=None)
     abl_p.add_argument("--accesses", type=_positive_int, default=None)
     _add_jobs(abl_p)
+    _add_dispatch(abl_p)
     _add_no_result_cache(abl_p)
     _add_supervision(abl_p)
 
@@ -291,6 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="append supervision incidents (retries, kills, "
                              "fallbacks) to this JSONL file")
     _add_jobs(prun_p)
+    _add_dispatch(prun_p)
     _add_no_result_cache(prun_p)
     pstat_p = plan_sub.add_parser(
         "status", help="show per-stage states from a plan status file"
@@ -357,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument("--host", default="127.0.0.1",
                          help="interface to bind (default: %(default)s)")
-    serve_p.add_argument("--port", type=_non_negative_int, default=0,
+    serve_p.add_argument("--port", type=_port, default=0,
                          help="TCP port (0 picks an ephemeral port; the "
                               "bound address is printed on startup)")
     serve_p.add_argument("--once", action="store_true",
@@ -379,14 +393,16 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
                         help="subprocess workers for independent runs "
                              "(0 = one per CPU; results are identical "
                              "whatever the count)")
-    parser.add_argument("--dispatch", choices=("pool", "per-cell", "remote"),
+
+
+def _add_dispatch(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--dispatch", choices=("pool", "remote"),
                         default=None,
-                        help="worker lifecycle for --jobs > 1: 'pool' "
-                             "(persistent workers, the default) amortizes "
-                             "spawn/import/kernel-load across cells; "
-                             "'per-cell' spawns one subprocess per cell; "
-                             "'remote' requires --endpoints; results are "
-                             "byte-identical in every mode")
+                        help="where cells run for --jobs > 1: 'pool' "
+                             "(persistent local workers, the default) or "
+                             "'remote' (requires --endpoints); either way "
+                             "cells fall back remote -> pool -> in-process "
+                             "serial, and results are byte-identical")
     parser.add_argument("--endpoints", type=_endpoint_list, default=None,
                         metavar="HOST:PORT,...",
                         help="running `repro worker serve` hosts to dispatch "
@@ -873,7 +889,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # (the parallel grid pass re-resolves it in each worker).
         from .sim.engine import ENGINE_ENV_VAR
         os.environ[ENGINE_ENV_VAR] = engine
-    _apply_dispatch(args)
 
     print(f"bench: {len(orgs)} orgs x {len(workloads)} workloads, "
           f"{accesses} accesses/context, best of {repeats}")

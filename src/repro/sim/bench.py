@@ -59,19 +59,16 @@ from .runner import run_workload
 #: ("vector" only when the compiled kernel engaged; the configured
 #: backend can silently fall back per cell) — and ``fallback_reason``
 #: (why, when it did). v5 -> v6: when ``n_jobs > 1`` the ``grid``
-#: section times the fan-out under both dispatch modes and gains a
-#: ``pool`` subsection (persistent-pool wall time, per-cell dispatch
-#: overhead, workers started / respawns / cells-per-worker), a
-#: ``spawn_per_cell`` subsection (same timing under the old
-#: process-per-cell lifecycle), and ``dispatch_overhead_reduction``
-#: (per-cell mean overhead / pool mean overhead — the factor the
-#: persistent pool buys). Dispatch overhead is wall time minus
-#: in-worker simulation time, so it stays meaningful on one-core hosts
-#: where raw speedup is nulled. Older files still load — see
-#: :func:`load_bench`.
-BENCH_SCHEMA_VERSION = 6
+#: section gains a ``pool`` subsection (persistent-pool wall time,
+#: per-cell dispatch overhead, workers started / respawns /
+#: cells-per-worker); dispatch overhead is wall time minus in-worker
+#: simulation time, so it stays meaningful on one-core hosts where raw
+#: speedup is nulled. v6 also timed the retired spawn-per-cell
+#: lifecycle (``spawn_per_cell`` and ``dispatch_overhead_reduction``);
+#: v6 -> v7 drops both. Older files still load — see :func:`load_bench`.
+BENCH_SCHEMA_VERSION = 7
 #: Versions :func:`load_bench` understands (older ones are migrated).
-READABLE_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6)
+READABLE_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
 
 #: The standing grid: the headline designs on one latency-sensitive and
 #: one capacity-sensitive workload (mirrors benchmarks/).
@@ -261,14 +258,12 @@ def measure_grid_scaling(
     * ``parallel_wall_seconds`` — ``n_jobs`` subprocess workers over a
       fresh cache (absent when ``n_jobs == 1``).
 
-    The parallel regime runs twice, once per dispatch mode: the
-    persistent pool (which also provides ``parallel_wall_seconds``) and
-    the legacy process-per-cell lifecycle. Each pass records per-cell
-    *dispatch overhead* — wall time minus in-worker simulation time,
-    i.e. spawn/pipe/poll cost — in the ``pool`` and ``spawn_per_cell``
-    subsections, and ``dispatch_overhead_reduction`` is their mean
-    ratio. Unlike speedup, overhead is not a scheduling claim, so it is
-    reported even on one-core hosts.
+    The parallel regime runs through the local persistent pool (never
+    remote endpoints, whatever ``REPRO_ENDPOINTS`` says) and records
+    per-cell *dispatch overhead* — wall time minus in-worker simulation
+    time, i.e. pipe/poll cost — in the ``pool`` subsection. Unlike
+    speedup, overhead is not a scheduling claim, so it is reported even
+    on one-core hosts.
 
     The derived ``trace_cache_speedup`` isolates the cache win at one
     worker; ``parallel_speedup``/``parallel_efficiency`` report the
@@ -291,20 +286,19 @@ def measure_grid_scaling(
     with result_store_disabled():
         with trace_cache_disabled():
             start = time.perf_counter()
-            outcomes = run_many(jobs, n_jobs=1)
+            outcomes = run_many(jobs, n_jobs=1, endpoints=[])
             cold_wall = time.perf_counter() - start
         raise_on_failures(outcomes, "bench grid (cold)")
 
         clear_default_trace_cache()
         start = time.perf_counter()
-        outcomes = run_many(jobs, n_jobs=1)
+        outcomes = run_many(jobs, n_jobs=1, endpoints=[])
         serial_wall = time.perf_counter() - start
         raise_on_failures(outcomes, "bench grid (serial)")
 
         parallel_wall = None
         parallel_retries = 0
         pool_section = None
-        per_cell_section = None
         if n_jobs > 1:
             clear_default_trace_cache()
             start = time.perf_counter()
@@ -314,6 +308,7 @@ def measure_grid_scaling(
                 hang_timeout_seconds=hang_timeout_seconds,
                 journal=journal,
                 dispatch="pool",
+                endpoints=[],
             )
             parallel_wall = time.perf_counter() - start
             parallel_retries = sum(max(0, o.attempts - 1) for o in outcomes)
@@ -330,22 +325,6 @@ def measure_grid_scaling(
                     "respawns": report.respawns,
                     "cells_per_worker": dict(report.cells_per_worker),
                 })
-
-            clear_default_trace_cache()
-            start = time.perf_counter()
-            outcomes = run_many(
-                jobs, n_jobs=n_jobs,
-                max_attempts=max_attempts,
-                hang_timeout_seconds=hang_timeout_seconds,
-                journal=journal,
-                dispatch="per-cell",
-            )
-            per_cell_wall = time.perf_counter() - start
-            raise_on_failures(outcomes, "bench grid (parallel, per-cell)")
-            per_cell_section = {
-                "wall_seconds": per_cell_wall,
-                "dispatch_overhead_seconds": _overhead_stats(outcomes),
-            }
 
     cpu_count = int(os.cpu_count() or 0)
     parallel_note = None
@@ -384,10 +363,6 @@ def measure_grid_scaling(
     if parallel_note is not None:
         grid["parallel_note"] = parallel_note
     grid["pool"] = pool_section
-    grid["spawn_per_cell"] = per_cell_section
-    grid["dispatch_overhead_reduction"] = _overhead_reduction(
-        pool_section, per_cell_section
-    )
     grid["result_store"] = measure_result_store(jobs, log=log)
     if log is not None:
         if honest:
@@ -402,13 +377,9 @@ def measure_grid_scaling(
         log(f"  grid ({len(jobs)} cells): cold {cold_wall:.3f}s, "
             f"cached {serial_wall:.3f}s "
             f"(cache x{grid['trace_cache_speedup']:.2f})" + parallel_part)
-        reduction = grid["dispatch_overhead_reduction"]
-        if reduction is not None:
-            pool_mean = pool_section["dispatch_overhead_seconds"]["mean"]
-            cell_mean = per_cell_section["dispatch_overhead_seconds"]["mean"]
-            log(f"  dispatch overhead/cell: pool {pool_mean * 1e3:.2f}ms, "
-                f"spawn-per-cell {cell_mean * 1e3:.2f}ms "
-                f"(x{reduction:.1f} reduction)")
+        if pool_section and pool_section["dispatch_overhead_seconds"]:
+            mean = pool_section["dispatch_overhead_seconds"]["mean"]
+            log(f"  dispatch overhead/cell: pool {mean * 1e3:.2f}ms")
     return grid
 
 
@@ -443,21 +414,6 @@ def _overhead_stats(outcomes) -> Optional[Dict]:
     }
 
 
-def _overhead_reduction(
-    pool_section: Optional[Dict], per_cell_section: Optional[Dict]
-) -> Optional[float]:
-    """Mean spawn-per-cell overhead over mean pool overhead (>1 = win)."""
-    if not pool_section or not per_cell_section:
-        return None
-    pool_stats = pool_section.get("dispatch_overhead_seconds")
-    cell_stats = per_cell_section.get("dispatch_overhead_seconds")
-    if not pool_stats or not cell_stats:
-        return None
-    if not pool_stats["mean"] > 0:
-        return None
-    return cell_stats["mean"] / pool_stats["mean"]
-
-
 def measure_result_store(
     jobs: Sequence[SimJob],
     log: Optional[Callable[[str], None]] = None,
@@ -473,13 +429,13 @@ def measure_result_store(
     store = ResultStore()
     with use_result_store(store):
         start = time.perf_counter()
-        outcomes = run_jobs_cached(list(jobs), n_jobs=1)
+        outcomes = run_jobs_cached(list(jobs), n_jobs=1, endpoints=[])
         cold_wall = time.perf_counter() - start
         raise_on_failures(outcomes, "bench grid (store cold)")
         cold_hits = sum(1 for o in outcomes if o.cached)
 
         start = time.perf_counter()
-        outcomes = run_jobs_cached(list(jobs), n_jobs=1)
+        outcomes = run_jobs_cached(list(jobs), n_jobs=1, endpoints=[])
         warm_wall = time.perf_counter() - start
         raise_on_failures(outcomes, "bench grid (store warm)")
         warm_hits = sum(1 for o in outcomes if o.cached)
@@ -625,14 +581,14 @@ def _migrate_payload(payload: Dict) -> Dict:
     for entry in payload.get("results", ()):
         entry.setdefault("backend", None)
         entry.setdefault("fallback_reason", None)
-    # v6: the grid section compares dispatch modes. Pre-v6 runs used
-    # spawn-per-cell exclusively and never measured per-cell overhead,
-    # so the new keys are null (unmeasured), not reconstructed.
+    # v6: the grid section records the pool's dispatch overhead. Pre-v6
+    # runs never measured it, so the key is null (unmeasured), not
+    # reconstructed. v7: the spawn-per-cell comparison is gone.
     grid = payload.get("grid")
     if isinstance(grid, dict):
         grid.setdefault("pool", None)
-        grid.setdefault("spawn_per_cell", None)
-        grid.setdefault("dispatch_overhead_reduction", None)
+        grid.pop("spawn_per_cell", None)
+        grid.pop("dispatch_overhead_reduction", None)
     payload["migrated_from_schema_version"] = payload["schema_version"]
     payload["schema_version"] = BENCH_SCHEMA_VERSION
     return payload

@@ -484,10 +484,14 @@ def serve(
     disconnects (or dies) the server returns to ``accept()``, so a
     fresh parent on any host can resume the campaign. ``once`` exits
     after the first session instead (used by tests). SIGTERM exits
-    cleanly.
+    cleanly. An unbindable ``host:port`` raises :class:`RemoteError`.
     """
     emit = log if log is not None else (lambda message: None)
-    listener = socket.create_server((host, port), backlog=4, reuse_port=False)
+    try:
+        listener = socket.create_server((host, port), backlog=4,
+                                        reuse_port=False)
+    except OSError as exc:
+        raise RemoteError(f"cannot listen on {host}:{port}: {exc}") from exc
     bound = Endpoint(host=host, port=listener.getsockname()[1])
     if on_bound is not None:
         on_bound(bound)

@@ -26,11 +26,11 @@ one :class:`Supervisor` that owns:
   outcomes, after every completed cell has already been delivered to
   the caller's ``on_settle`` hook (which is what flushes results to
   checkpoints and the result store);
-* **graceful degradation** — when subprocess spawn fails repeatedly
-  (sandboxed hosts without fork/spawn), the remaining cells fall back
-  to the exact in-process serial path with a warning; results are
-  bit-identical because the worker body and the inline body are the
-  same function;
+* **graceful degradation** down a ladder of rungs — remote endpoints
+  (when configured), then the local pool, then, when subprocess spawn
+  fails repeatedly (sandboxed hosts without fork/spawn), the exact
+  in-process serial path with a warning; results are bit-identical
+  because every rung runs the same target function;
 * a **JSONL incident journal** recording every retry, timeout, kill,
   crash, quarantine, and fallback, for observability
   (``REPRO_INCIDENT_JOURNAL=<path>`` or an explicit
@@ -42,20 +42,16 @@ Deterministic chaos testing rides the worker entrypoint: the
 (cell, attempt) pairs crash or hang before simulating, so CI can prove
 a grid survives worker kills with byte-identical results.
 
-Two dispatch modes share this machinery (``REPRO_DISPATCH`` /
-``dispatch=`` pick one; ``pool`` is the default):
-
-* **pool** — ``n_workers`` *persistent* workers start once, run an
-  optional ``worker_setup`` hook (imports, kernel dlopen, cache
-  opening), then stream tasks off the queue until it drains. Spawn
-  cost is paid once per worker instead of once per cell, which is what
-  makes wide grids dispatch-bound no longer. Supervision becomes
-  per-worker: a wedged or crashed worker is killed and *respawned*
-  alone (``worker_respawn`` incidents) while its in-flight cell
-  re-enters the queue under the ordinary retry classifier.
-* **per-cell** — the original spawn-per-cell lifecycle, kept for
-  comparison benchmarks and as a fallback; results are byte-identical
-  in either mode because the worker body is the same function.
+Workers are *persistent*: ``n_workers`` local processes start once,
+run an optional ``worker_setup`` hook (imports, kernel dlopen, cache
+opening), then stream tasks off the queue until it drains, so spawn
+cost is paid once per worker instead of once per cell. Remote
+``repro worker serve`` sessions (:mod:`repro.sim.remote`) stream the
+same way. One loop feeds both kinds, and supervision is per worker: a
+wedged or crashed worker is killed and *respawned* alone
+(``worker_respawn`` incidents), a failing endpoint reconnects with
+backoff or is quarantined, and the in-flight cell re-enters the queue
+under the ordinary retry classifier.
 """
 
 from __future__ import annotations
@@ -91,12 +87,12 @@ FAULTS_ENV_VAR = "REPRO_INJECT_WORKER_FAULTS"
 #: Default incident-journal path (CLI ``--journal`` overrides).
 JOURNAL_ENV_VAR = "REPRO_INCIDENT_JOURNAL"
 #: Dispatch-mode override (CLI ``--dispatch`` sets it so nested fan-out
-#: inherits the choice): ``pool`` (persistent workers, the default),
-#: ``per-cell`` (spawn one subprocess per cell), or ``remote`` (stream
-#: cells to ``repro worker serve`` endpoints first).
+#: inherits the choice): ``pool`` (persistent workers, the default) or
+#: ``remote`` (stream cells to ``repro worker serve`` endpoints first;
+#: requires endpoints).
 DISPATCH_ENV_VAR = "REPRO_DISPATCH"
 #: The dispatch modes :meth:`Supervisor.run` understands.
-DISPATCH_MODES = ("pool", "per-cell", "remote")
+DISPATCH_MODES = ("pool", "remote")
 #: Cap on the JSONL incident journal before it rotates to ``<path>.1``.
 JOURNAL_MAX_BYTES_ENV_VAR = "REPRO_INCIDENT_JOURNAL_MAX_BYTES"
 #: Generous by default: multi-day campaigns emit kilobyte-scale events,
@@ -199,7 +195,7 @@ class InjectedFaults:
     #: Remote-endpoint chaos only: ``os._exit`` the whole ``repro
     #: worker serve`` process mid-cell — the host-death analogue of
     #: ``crash`` (which, on an endpoint, drops just the connection).
-    #: Local pool/per-cell workers ignore it.
+    #: Local pool workers ignore it.
     endpoint_kill_rate: float = 0.0
     #: Inject only while ``attempt <= max_attempt`` — the default (1)
     #: guarantees retries converge, which keeps chaos runs deterministic
@@ -543,8 +539,9 @@ class TaskOutcome:
     wall_seconds: float = 0.0
     #: True when the value came from the in-process serial fallback.
     inline: bool = False
-    #: Which worker served the final attempt (``w0``/``w1``... in pool
-    #: mode, ``pid<n>`` in per-cell mode, ``inline`` for the fallback).
+    #: Which worker served the final attempt (``w0``/``w1``... for pool
+    #: workers, ``r<n>@host:port`` for endpoint sessions, ``inline``
+    #: for the serial fallback).
     worker_id: Optional[str] = None
     #: Seconds spent inside ``target(payload)`` in the worker — the
     #: simulation itself, excluding spawn/dispatch/pipe overhead.
@@ -560,8 +557,8 @@ def _settled_wall(final: Dict, observed: float) -> float:
     """The cell's wall time: worker-reported when sane, else observed.
 
     The worker's ``wall_seconds`` (dispatch stamp → result ready, see
-    :func:`_reported_wall`) excludes the parent's own wake-up latency,
-    which on an oversubscribed host inflates the parent-side
+    :func:`_pool_worker_main`) excludes the parent's own wake-up
+    latency, which on an oversubscribed host inflates the parent-side
     observation by a scheduler quantum per cell.
     """
     reported = final.get("wall_seconds")
@@ -589,73 +586,6 @@ def _install_heartbeat_hook(conn, heartbeat_every) -> None:
         pass  # No heartbeats is degraded observability, not a failure.
 
 
-def _run_worker_setup(setup: Optional[Callable[[], None]]) -> None:
-    """Run the warm-up hook; its failure degrades perf, never the run."""
-    if setup is None:
-        return
-    with contextlib.suppress(Exception):
-        setup()
-
-
-def _reported_wall(dispatched: Optional[float]) -> Optional[float]:
-    """Seconds since the parent's dispatch stamp, by the worker's clock.
-
-    ``time.monotonic()`` is ``CLOCK_MONOTONIC`` on Linux — one clock
-    per *boot*, not per process — so the delta between the parent's
-    stamp and the worker's read is the cell's true dispatch-to-done
-    wall time, measured without the parent having to win the CPU back
-    first (which, on oversubscribed hosts, it often does a scheduler
-    quantum late). Returns ``None`` when there is no stamp or the
-    clocks disagree (non-monotonic platforms); the parent then falls
-    back to its own observation.
-    """
-    if dispatched is None:
-        return None
-    delta = time.monotonic() - dispatched
-    return delta if delta >= 0 else None
-
-
-def _worker_main(target, payload, key, attempt, conn, heartbeat_every,
-                 setup=None, dispatched=None) -> None:
-    """Per-cell subprocess body: chaos (if configured), heartbeat, run, report.
-
-    Top-level so every multiprocessing start method can import it. The
-    final message is ``{"ok": True, "value": ..., "sim_seconds": ...,
-    "wall_seconds": ...}`` or ``{"ok": False, "error": ...,
-    "retryable": ..., ...}``; ``{"hb": n}`` heartbeats precede it.
-    ``wall_seconds`` counts from the parent's pre-spawn ``dispatched``
-    stamp, so it includes the fork/interpreter/import cost this mode
-    pays per cell. Nothing may escape: an unreportable failure still
-    surfaces in the parent as a crash with this process's exit code.
-    """
-    faults = parse_injected_faults(os.environ.get(FAULTS_ENV_VAR))
-    if faults is not None and faults.active:
-        _maybe_inject_worker_fault(faults, key, attempt)
-    _run_worker_setup(setup)
-    _install_heartbeat_hook(conn, heartbeat_every)
-    started = time.perf_counter()
-    try:
-        value = target(payload)
-        conn.send({
-            "ok": True,
-            "value": value,
-            "sim_seconds": time.perf_counter() - started,
-            "wall_seconds": _reported_wall(dispatched),
-        })
-    except BaseException as exc:  # noqa: BLE001 — must never escape the worker
-        with contextlib.suppress(Exception):
-            conn.send({
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "retryable": is_retryable_exception(exc),
-                "sim_seconds": time.perf_counter() - started,
-                "wall_seconds": _reported_wall(dispatched),
-            })
-    finally:
-        with contextlib.suppress(Exception):
-            conn.close()
-
-
 def _pool_worker_main(worker_id, setup, conn, heartbeat_every) -> None:
     """Persistent-pool subprocess body: set up once, then stream cells.
 
@@ -663,15 +593,19 @@ def _pool_worker_main(worker_id, setup, conn, heartbeat_every) -> None:
     imports, kernel dlopen, cache opening (all via ``setup``) — happens
     exactly once; after that the worker loops on ``conn.recv()``,
     running one cell per ``{"target", "payload", "key", "attempt"}``
-    message and answering with the same final-message schema as
-    :func:`_worker_main`. ``{"stop": True}`` (or a closed pipe) ends
-    the loop. Injected chaos fires per (key, attempt) exactly as in
-    per-cell mode — a ``crash`` draw takes the whole worker down
-    mid-queue, which is precisely the failure the parent's respawn
-    logic exists to absorb.
+    message and answering with ``{"ok": True, "value": ...,
+    "sim_seconds": ..., "wall_seconds": ...}`` or ``{"ok": False,
+    "error": ..., "retryable": ..., ...}``, preceded by ``{"hb": n}``
+    heartbeats. ``{"stop": True}`` (or a closed pipe) ends the loop.
+    Injected chaos fires per (key, attempt) — a ``crash`` draw takes the
+    whole worker down mid-queue, which is precisely the failure the
+    parent's respawn logic exists to absorb.
     """
     faults = parse_injected_faults(os.environ.get(FAULTS_ENV_VAR))
-    _run_worker_setup(setup)
+    if setup is not None:
+        # A failed warm-up makes the worker slower, never wrong.
+        with contextlib.suppress(Exception):
+            setup()
     _install_heartbeat_hook(conn, heartbeat_every)
     # Ready handshake: the parent only assigns cells to workers that
     # have finished setup, so worker start-up cost is paid concurrently
@@ -691,8 +625,8 @@ def _pool_worker_main(worker_id, setup, conn, heartbeat_every) -> None:
         # A cell's wall clock starts at the parent's dispatch stamp, or
         # — for a prefetched cell that waited in the pipe while this
         # worker ran its predecessor — when the worker became free.
-        # CLOCK_MONOTONIC is per-boot, not per-process, so the stamps
-        # are comparable (see _reported_wall).
+        # CLOCK_MONOTONIC is one clock per boot, not per process, so
+        # the parent's stamp and this worker's reads are comparable.
         dispatched = message.get("dispatched")
         wall_start = free_since
         if isinstance(dispatched, (int, float)) and dispatched > wall_start:
@@ -800,19 +734,8 @@ def current_supervision() -> Optional[SupervisorPolicy]:
 
 
 @dataclass
-class _Running:
-    task: SupervisedTask
-    process: multiprocessing.process.BaseProcess
-    conn: object
-    started_at: float
-    last_progress_at: float
-    attempt: int
-    progress: int = 0
-
-
-@dataclass
-class _PoolInFlight:
-    """One cell assigned to a pool worker (running or pipe-buffered)."""
+class _InFlight:
+    """One cell assigned to a worker (running or buffered in its conn)."""
 
     task: SupervisedTask
     attempt: int
@@ -822,22 +745,26 @@ class _PoolInFlight:
 
 
 @dataclass
-class _PoolWorker:
-    """One persistent worker: process, duplex pipe, assigned cells.
+class _Slot:
+    """One worker the streaming loop feeds: a pool process or a session.
 
+    A local pool worker has a ``process`` (which the parent can kill and
+    police for RSS); a remote endpoint session has an ``address`` and no
+    process — across a host boundary the only lever is closing ``conn``.
     ``queue[0]`` is the cell the worker is running (heartbeats and hang
     policing attach to it); ``queue[1:]`` are prefetched cells waiting
-    in the worker's pipe (at most :data:`POOL_PREFETCH_DEPTH` total).
+    in the connection (at most :data:`POOL_PREFETCH_DEPTH` in total).
     """
 
     worker_id: str
-    process: multiprocessing.process.BaseProcess
     conn: object
-    queue: List[_PoolInFlight] = field(default_factory=list)
-    cells: int = 0
-    #: Set when the worker's ready handshake arrives (setup finished).
+    process: Optional[multiprocessing.process.BaseProcess] = None
+    address: Optional[str] = None
+    queue: List[_InFlight] = field(default_factory=list)
+    #: Set by the local worker's ready handshake (setup finished);
+    #: endpoint sessions are ready once the connect handshake returns.
     ready: bool = False
-    spawned_at: float = 0.0
+    opened_at: float = 0.0
 
 
 @dataclass
@@ -853,23 +780,6 @@ class PoolReport:
     workers_started: int = 0
     respawns: int = 0
     cells_per_worker: Dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class _RemoteWorker:
-    """One live session with a remote endpoint.
-
-    Mirrors :class:`_PoolWorker` minus the process handle — there is
-    no PID to kill or police for RSS across a host boundary; the only
-    lever the parent holds is closing the connection.
-    """
-
-    worker_id: str
-    address: str
-    conn: object
-    queue: List[_PoolInFlight] = field(default_factory=list)
-    cells: int = 0
-    connected_at: float = 0.0
 
 
 @dataclass
@@ -974,20 +884,19 @@ class Supervisor:
     ) -> List[Optional[TaskOutcome]]:
         """Supervise every task to a terminal state; outcomes by ``index``.
 
-        ``dispatch`` picks the worker lifecycle (``pool`` — persistent
-        workers, the default — ``per-cell``, or ``remote``); ``None``
-        defers to ``REPRO_DISPATCH``. Results are byte-identical in
-        every mode.
+        Cells stream down a ladder of rungs, each draining what the one
+        above could not: remote endpoints (when any are configured),
+        then ``n_workers`` local pool workers, then — after repeated
+        spawn failure — in-process serial execution. Results are
+        byte-identical on every rung.
 
         ``endpoints`` (``host:port`` strings or
         :class:`~repro.sim.remote.Endpoint`\\ s; ``None`` defers to
         ``REPRO_ENDPOINTS``) names remote ``repro worker serve``
-        listeners. When any are given they form the *first* rung of the
-        dispatch ladder regardless of mode: cells stream to the remotes
-        and, only if every endpoint is quarantined, fall back to the
-        local lifecycle ``dispatch`` names (and from there, on spawn
-        failure, to in-process serial). ``dispatch="remote"`` with no
-        endpoints at all is a configuration error.
+        listeners. ``dispatch`` (``pool``, the default, or ``remote``;
+        ``None`` defers to ``REPRO_DISPATCH``) only matters in that
+        ``dispatch="remote"`` with no endpoints at all is a
+        configuration error.
 
         Raises :class:`~repro.errors.InterruptedRunError` on
         SIGINT/SIGTERM, after killing the in-flight workers; settled
@@ -1014,9 +923,7 @@ class Supervisor:
             max((t.index for t in tasks), default=-1) + 1
         )
         pending = deque(tasks)
-        running: Dict[int, _Running] = {}
-        pool_workers: Dict[str, _PoolWorker] = {}
-        remote_workers: Dict[str, _RemoteWorker] = {}
+        slots: Dict[str, _Slot] = {}
         attempts: Dict[int, int] = {}
         elapsed: Dict[int, float] = {}
         eligible_at: Dict[int, float] = {}
@@ -1081,6 +988,20 @@ class Supervisor:
                 worker_id=worker_id, sim_seconds=sim_seconds,
             ))
 
+        def next_attempt(task: SupervisedTask) -> Optional[int]:
+            """Claim the task's next attempt; None when quarantine vetoed it."""
+            attempt = attempts.get(task.index, 0) + 1
+            attempts[task.index] = attempt
+            reason = quarantined.get(task.key)
+            if reason is None:
+                return attempt
+            self._incident("quarantine_hit", task.key, attempt, reason)
+            settle(task, TaskOutcome(
+                task, error=f"quarantined poison cell: {reason}",
+                attempts=attempt,
+            ))
+            return None
+
         def run_inline(task: SupervisedTask, attempt: int) -> None:
             start = time.perf_counter()
             try:
@@ -1106,107 +1027,24 @@ class Supervisor:
                 worker_id="inline", sim_seconds=wall,
             ))
 
-        def launch(task: SupervisedTask) -> None:
-            nonlocal spawn_failures
-            attempt = attempts.get(task.index, 0) + 1
-            attempts[task.index] = attempt
-            if task.key in quarantined:
-                self._incident("quarantine_hit", task.key, attempt,
-                               quarantined[task.key])
-                settle(task, TaskOutcome(
-                    task,
-                    error=f"quarantined poison cell: {quarantined[task.key]}",
-                    attempts=attempt,
-                ))
-                return
-            if self._inline_mode:
-                run_inline(task, attempt)
-                return
-            try:
-                if _spawn_should_fail(faults, task.key, attempt):
-                    raise OSError("injected spawn failure")
-                parent_conn, child_conn = self.ctx.Pipe(duplex=False)
-                process = self.ctx.Process(
-                    target=_worker_main,
-                    args=(task.target, task.payload, task.key, attempt,
-                          child_conn, policy.heartbeat_interval_accesses,
-                          self.worker_setup, time.monotonic()),
-                    daemon=True,
-                )
-                process.start()
-            except OSError as exc:
-                spawn_failures += 1
-                attempts[task.index] = attempt - 1  # the task never ran
-                self._incident("spawn_failure", task.key, attempt, str(exc))
-                if spawn_failures >= policy.spawn_failure_limit:
-                    self._inline_mode = True
-                    self._incident(
-                        "serial_fallback", task.key, attempt,
-                        f"{spawn_failures} consecutive spawn failures",
-                    )
-                    self.emit(
-                        "WARNING: subprocess spawn failed "
-                        f"{spawn_failures} time(s) ({exc}); falling back to "
-                        "in-process serial execution (results identical)"
-                    )
-                pending.appendleft(task)
-                return
-            spawn_failures = 0
-            child_conn.close()
-            now = time.monotonic()
-            running[task.index] = _Running(
-                task=task, process=process, conn=parent_conn,
-                started_at=now, last_progress_at=now, attempt=attempt,
-            )
-            self.emit(
-                f"start: {task.key} (attempt {attempt}/{policy.max_attempts})"
-            )
-
-        def kill_and_fail(entry: _Running, event: str, reason: str) -> None:
-            worker_id = f"pid{entry.process.pid}"
-            how = escalate_kill(
-                entry.process, policy.grace_seconds,
-                policy.join_timeout_seconds,
-            )
-            with contextlib.suppress(Exception):
-                entry.conn.close()
-            del running[entry.task.index]
-            elapsed[entry.task.index] = (
-                elapsed.get(entry.task.index, 0.0)
-                + (time.monotonic() - entry.started_at)
-            )
-            self._incident(event, entry.task.key, entry.attempt,
-                           f"{reason}; worker {how}", worker=worker_id)
-            settle_failure(entry.task, entry.attempt, reason, retryable=True,
-                           worker_id=worker_id)
-
         def shutdown(signal_name: str) -> None:
             self._incident(
                 "interrupt", detail=f"{signal_name}: "
-                f"{len(running) + len(pool_workers) + len(remote_workers)} "
-                "worker(s) killed, "
+                f"{len(slots)} worker(s) killed, "
                 f"{sum(1 for o in outcomes if o is None)} cell(s) pending",
             )
-            for entry in list(running.values()):
-                escalate_kill(entry.process, policy.grace_seconds,
-                              policy.join_timeout_seconds)
+            for slot in slots.values():
+                # Remote servers outlive this parent by design (another
+                # host may resume the campaign); just end our sessions.
+                if slot.process is not None:
+                    escalate_kill(slot.process, policy.grace_seconds,
+                                  policy.join_timeout_seconds)
+                else:
+                    with contextlib.suppress(Exception):
+                        slot.conn.send({"stop": True})
                 with contextlib.suppress(Exception):
-                    entry.conn.close()
-            running.clear()
-            for worker in list(pool_workers.values()):
-                escalate_kill(worker.process, policy.grace_seconds,
-                              policy.join_timeout_seconds)
-                with contextlib.suppress(Exception):
-                    worker.conn.close()
-            pool_workers.clear()
-            # Remote servers outlive this parent by design (another
-            # host may resume the campaign); just end our sessions.
-            for remote in list(remote_workers.values()):
-                with contextlib.suppress(Exception):
-                    remote.conn.send({"stop": True})
-                with contextlib.suppress(Exception):
-                    remote.conn.close()
-            remote_workers.clear()
+                    slot.conn.close()
+            slots.clear()
             settled = sum(1 for o in outcomes if o is not None)
             pending_keys = [t.key for t in tasks if outcomes[t.index] is None]
             raise InterruptedRunError(
@@ -1217,61 +1055,60 @@ class Supervisor:
                 pending_keys=pending_keys,
             )
 
-        # -- remote-endpoint dispatch ------------------------------------
+        # -- the streaming loop ------------------------------------------
         #
-        # The first rung of the ladder whenever endpoints are
-        # configured. Each endpoint carries one session streaming cells
-        # exactly like a pool worker (same prefetch depth, same
-        # heartbeat/hang/timeout policing, same settle closures — so
-        # retry, quarantine, and the budget behave identically), but
-        # supervision is per *host*: a dropped connection re-enqueues
-        # the in-flight cell through the retry classifier and
-        # reconnects with backoff; an endpoint that keeps failing (or
-        # speaks the wrong protocol/build) is quarantined; when every
-        # endpoint is quarantined the loop returns with cells still
-        # pending and the local rungs below drain them.
+        # One loop feeds both worker kinds: local pool processes
+        # (``_pool_worker_main``, spawned once and respawned alone when
+        # they crash or wedge) and remote endpoint sessions (supervised
+        # per *host*: a dropped connection reconnects with backoff, and
+        # an endpoint that keeps failing — or speaks the wrong
+        # protocol/build — is quarantined). Assignment, heartbeats,
+        # timeout/hang policing, and retry of a lost cell are shared;
+        # the loop returns with cells still pending when its rung gives
+        # out (every endpoint quarantined, or local spawn failing), and
+        # the rung below drains them.
 
-        def remote_loop() -> None:
-            from .remote import connect_endpoint
+        def stream(remote: bool) -> None:
+            nonlocal spawn_failures
+            seq = 0
+            if remote:
+                from .remote import connect_endpoint
 
-            report = RemoteReport(
-                endpoints=[e.address for e in endpoint_list],
-            )
-            self.last_remote_report = report
-            endpoint_failures: Dict[str, int] = {}
-            reconnect_at: Dict[str, float] = {}
-            connected_before: set = set()
-            next_session_seq = [0]
-
-            def quarantine_endpoint(address: str, reason: str) -> None:
-                report.quarantined[address] = reason
-                self._incident("endpoint_quarantine", "", 0, reason,
-                               worker=address)
-                self.emit(f"endpoint {address} quarantined: {reason}")
+                report = RemoteReport(
+                    endpoints=[e.address for e in endpoint_list],
+                )
+                self.last_remote_report = report
+                cells_served = report.cells_per_endpoint
+                endpoint_failures: Dict[str, int] = {}
+                reconnect_at: Dict[str, float] = {}
+                connected_before: set = set()
+            else:
+                pool = PoolReport(n_workers=n_workers)
+                self.last_pool_report = pool
+                cells_served = pool.cells_per_worker
+                pool_started = False
 
             def note_endpoint_failure(address: str, reason: str,
                                       deterministic: bool = False) -> None:
-                endpoint_failures[address] = (
-                    endpoint_failures.get(address, 0) + 1
-                )
-                if (deterministic
-                        or endpoint_failures[address]
-                        >= policy.endpoint_failure_limit):
-                    quarantine_endpoint(
-                        address,
-                        f"{reason} "
-                        f"({endpoint_failures[address]} failure(s))",
-                    )
+                failures = endpoint_failures.get(address, 0) + 1
+                endpoint_failures[address] = failures
+                if deterministic or failures >= policy.endpoint_failure_limit:
+                    reason = f"{reason} ({failures} failure(s))"
+                    report.quarantined[address] = reason
+                    self._incident("endpoint_quarantine", "", 0, reason,
+                                   worker=address)
+                    self.emit(f"endpoint {address} quarantined: {reason}")
                     return
-                delay = policy.backoff_delay(
-                    f"endpoint:{address}", endpoint_failures[address],
+                reconnect_at[address] = time.monotonic() + policy.backoff_delay(
+                    f"endpoint:{address}", failures,
                 )
-                reconnect_at[address] = time.monotonic() + delay
 
-            def ensure_endpoints(now: float) -> None:
+            def connect_endpoints(now: float) -> None:
+                nonlocal seq
+                connected = {slot.address for slot in slots.values()}
                 for endpoint in endpoint_list:
                     address = endpoint.address
-                    if (address in remote_workers
+                    if (address in connected
                             or address in report.quarantined
                             or reconnect_at.get(address, 0.0) > now):
                         continue
@@ -1279,31 +1116,25 @@ class Supervisor:
                         conn, _welcome = connect_endpoint(
                             endpoint, policy.connect_timeout_seconds,
                         )
-                    except RemoteProtocolError as exc:
-                        # Deterministic: the same two builds will skew
-                        # again, so don't burn reconnect attempts.
-                        self._incident("endpoint_failure", "", 0,
-                                       str(exc), worker=address)
-                        note_endpoint_failure(address, str(exc),
-                                              deterministic=True)
-                        continue
-                    except (OSError, EOFError) as exc:
-                        reason = (
-                            f"unreachable ({type(exc).__name__}: {exc})"
-                        )
-                        self._incident("endpoint_failure", "", 0,
-                                       reason, worker=address)
-                        note_endpoint_failure(address, reason)
+                    except (OSError, EOFError, RemoteProtocolError) as exc:
+                        # Protocol/build skew is deterministic: the same
+                        # two builds will skew again, so quarantine now.
+                        skew = isinstance(exc, RemoteProtocolError)
+                        reason = (str(exc) if skew else
+                                  f"unreachable ({type(exc).__name__}: {exc})")
+                        self._incident("endpoint_failure", "", 0, reason,
+                                       worker=address)
+                        note_endpoint_failure(address, reason, skew)
                         continue
                     endpoint_failures[address] = 0
-                    worker_id = f"r{next_session_seq[0]}@{address}"
-                    next_session_seq[0] += 1
-                    remote_workers[address] = _RemoteWorker(
-                        worker_id=worker_id, address=address, conn=conn,
-                        connected_at=now,
+                    worker_id = f"r{seq}@{address}"
+                    seq += 1
+                    slots[worker_id] = _Slot(
+                        worker_id, conn, address=address, ready=True,
+                        opened_at=now,
                     )
                     report.sessions_opened += 1
-                    report.cells_per_endpoint.setdefault(address, 0)
+                    cells_served.setdefault(address, 0)
                     if address in connected_before:
                         report.reconnects += 1
                         self._incident("endpoint_reconnect", "", 0,
@@ -1314,272 +1145,14 @@ class Supervisor:
                         self._incident("endpoint_connect", "", 0,
                                        "session established",
                                        worker=address)
-                    self.emit(f"endpoint {address} connected "
-                              f"({worker_id})")
+                    self.emit(f"endpoint {address} connected ({worker_id})")
 
-            def stop_remote() -> None:
-                for remote in remote_workers.values():
-                    with contextlib.suppress(Exception):
-                        remote.conn.send({"stop": True})
-                    with contextlib.suppress(Exception):
-                        remote.conn.close()
-                remote_workers.clear()
-
-            def drop_remote_worker(remote: _RemoteWorker, event: str,
-                                   reason: str) -> None:
-                with contextlib.suppress(Exception):
-                    remote.conn.close()
-                remote_workers.pop(remote.address, None)
-                queue = remote.queue
-                remote.queue = []
-                # Prefetched cells the endpoint never started go
-                # straight back to pending without burning an attempt.
-                for extra in reversed(queue[1:]):
-                    attempts[extra.task.index] -= 1
-                    pending.appendleft(extra.task)
-                if queue:
-                    inflight = queue[0]
-                    index = inflight.task.index
-                    elapsed[index] = (
-                        elapsed.get(index, 0.0)
-                        + (time.monotonic() - inflight.assigned_at)
-                    )
-                    self._incident(event, inflight.task.key,
-                                   inflight.attempt, reason,
-                                   worker=remote.worker_id)
-                    settle_failure(inflight.task, inflight.attempt,
-                                   reason, retryable=True,
-                                   worker_id=remote.worker_id)
-                else:
-                    self._incident(event, "", 0, reason,
-                                   worker=remote.worker_id)
-                note_endpoint_failure(remote.address, reason)
-
-            def assign_remote(now: float) -> bool:
-                progressed = False
-                blocked: List[SupervisedTask] = []
-                for depth in range(1, POOL_PREFETCH_DEPTH + 1):
-                    for remote in list(remote_workers.values()):
-                        if len(remote.queue) >= depth:
-                            continue
-                        while pending:
-                            task = pending.popleft()
-                            if eligible_at.get(task.index, 0.0) > now:
-                                blocked.append(task)
-                                continue
-                            if any(q.task.key == task.key
-                                   for q in remote.queue):
-                                blocked.append(task)
-                                continue
-                            attempt = attempts.get(task.index, 0) + 1
-                            attempts[task.index] = attempt
-                            if task.key in quarantined:
-                                self._incident(
-                                    "quarantine_hit", task.key, attempt,
-                                    quarantined[task.key],
-                                )
-                                settle(task, TaskOutcome(
-                                    task,
-                                    error=("quarantined poison cell: "
-                                           f"{quarantined[task.key]}"),
-                                    attempts=attempt,
-                                ))
-                                progressed = True
-                                continue
-                            try:
-                                remote.conn.send({
-                                    "target": task.target,
-                                    "payload": task.payload,
-                                    "key": task.key,
-                                    "attempt": attempt,
-                                    "heartbeat_every":
-                                        policy.heartbeat_interval_accesses,
-                                })
-                            except (OSError, ValueError,
-                                    RemoteProtocolError) as exc:
-                                attempts[task.index] = attempt - 1
-                                pending.appendleft(task)
-                                drop_remote_worker(
-                                    remote, "crash",
-                                    "connection lost on dispatch "
-                                    f"({type(exc).__name__}: {exc})",
-                                )
-                                progressed = True
-                                break
-                            remote.queue.append(_PoolInFlight(
-                                task=task, attempt=attempt,
-                                assigned_at=now, last_progress_at=now,
-                            ))
-                            self.emit(
-                                f"start: {task.key} (attempt {attempt}"
-                                f"/{policy.max_attempts}) "
-                                f"@ {remote.address}"
-                            )
-                            progressed = True
-                            break
-                pending.extendleft(reversed(blocked))
-                return progressed
-
-            def pump_remote(remote: _RemoteWorker) -> bool:
-                final = None
-                break_reason = None
-                while True:
-                    try:
-                        if not remote.conn.poll():
-                            break
-                        message = remote.conn.recv()
-                    except (EOFError, OSError, RemoteProtocolError) as exc:
-                        break_reason = (
-                            "connection lost mid-cell "
-                            f"({type(exc).__name__}: {exc})"
-                        )
-                        break
-                    if not isinstance(message, dict):
-                        continue
-                    if "hb" in message:
-                        if remote.queue:
-                            remote.queue[0].last_progress_at = (
-                                time.monotonic()
-                            )
-                            remote.queue[0].progress = int(message["hb"])
-                        continue
-                    final = message
-                    break
-                if final is not None and remote.queue:
-                    inflight = remote.queue.pop(0)
-                    if remote.queue:
-                        promoted_at = time.monotonic()
-                        remote.queue[0].assigned_at = promoted_at
-                        remote.queue[0].last_progress_at = promoted_at
-                    remote.cells += 1
-                    report.cells_per_endpoint[remote.address] = remote.cells
-                    index = inflight.task.index
-                    elapsed[index] = elapsed.get(index, 0.0) + _settled_wall(
-                        final, time.monotonic() - inflight.assigned_at,
-                    )
-                    if final.get("ok"):
-                        settle(inflight.task, TaskOutcome(
-                            inflight.task, value=final["value"],
-                            attempts=inflight.attempt,
-                            wall_seconds=elapsed[index],
-                            worker_id=remote.worker_id,
-                            sim_seconds=final.get("sim_seconds"),
-                        ))
-                    else:
-                        reason = final.get("error", "worker error")
-                        self._incident("worker_error", inflight.task.key,
-                                       inflight.attempt, reason,
-                                       worker=remote.worker_id)
-                        settle_failure(
-                            inflight.task, inflight.attempt, reason,
-                            bool(final.get("retryable", False)),
-                            worker_id=remote.worker_id,
-                            sim_seconds=final.get("sim_seconds"),
-                        )
-                    return True
-                if break_reason is not None:
-                    drop_remote_worker(remote, "crash", break_reason)
-                    return True
-                return False
-
-            def police_remote(now: float) -> bool:
-                progressed = False
-                for remote in list(remote_workers.values()):
-                    if not remote.queue:
-                        continue
-                    inflight = remote.queue[0]
-                    # Policed entirely by the parent's clock — remote
-                    # timestamps never enter the comparison, so host
-                    # clock skew cannot misfire a kill.
-                    wall = now - inflight.assigned_at
-                    if (policy.timeout_seconds is not None
-                            and wall > policy.timeout_seconds):
-                        drop_remote_worker(
-                            remote, "timeout",
-                            "timeout after "
-                            f"{policy.timeout_seconds:.1f}s",
-                        )
-                        progressed = True
-                        continue
-                    idle = now - inflight.last_progress_at
-                    if (policy.hang_timeout_seconds is not None
-                            and idle > policy.hang_timeout_seconds):
-                        drop_remote_worker(
-                            remote, "hang",
-                            f"hung: no progress for "
-                            f"{policy.hang_timeout_seconds:.1f}s "
-                            f"(last heartbeat at {inflight.progress} "
-                            "accesses)",
-                        )
-                        progressed = True
-                return progressed
-
-            import select as _select
-
-            while pending or any(
-                w.queue for w in remote_workers.values()
-            ):
-                if self._signal_name is not None:
-                    shutdown(self._signal_name)
-                now = time.monotonic()
-                ensure_endpoints(now)
-                if not remote_workers:
-                    if len(report.quarantined) >= len(endpoint_list):
-                        report.degraded = True
-                        detail = (
-                            f"all {len(endpoint_list)} endpoint(s) "
-                            "quarantined; falling back to local "
-                            "dispatch"
-                        )
-                        self._incident("remote_degraded", "", 0, detail)
-                        self.emit(
-                            f"WARNING: {detail} (results identical)"
-                        )
-                        return
-                    time.sleep(0.005)  # reconnect backoff in progress
-                    continue
-                progressed = assign_remote(now)
-                conns = {r.conn: r for r in remote_workers.values()}
+            def spawn_worker() -> None:
+                nonlocal seq, spawn_failures
+                worker_id, chaos_key = f"w{seq}", f"pool-worker-{seq}"
+                seq += 1
                 try:
-                    ready, _, _ = _select.select(
-                        list(conns), [], [],
-                        0.0 if progressed else 0.005,
-                    )
-                except (OSError, ValueError):
-                    ready = list(conns)
-                for conn in ready:
-                    remote = conns[conn]
-                    if remote.address not in remote_workers:
-                        continue
-                    if pump_remote(remote):
-                        progressed = True
-                police_remote(time.monotonic())
-            stop_remote()
-
-        # -- persistent-pool dispatch ------------------------------------
-        #
-        # Workers are spawned once (``_pool_worker_main``), then cells
-        # stream through them one in-flight cell per worker. Per-cell
-        # outcome semantics (retry, quarantine, budget) reuse the same
-        # settle closures as per-cell mode; what changes is the worker
-        # lifecycle: a crashed/hung worker is killed and respawned
-        # *alone*, its in-flight cell re-enqueued through the ordinary
-        # retry classifier.
-
-        def pool_loop() -> None:
-            nonlocal spawn_failures
-            report = PoolReport(n_workers=n_workers)
-            self.last_pool_report = report
-            next_worker_seq = [0]
-            started_initial = [False]
-
-            def spawn_pool_worker() -> bool:
-                nonlocal spawn_failures
-                seq = next_worker_seq[0]
-                next_worker_seq[0] += 1
-                worker_id = f"w{seq}"
-                try:
-                    if _spawn_should_fail(faults, f"pool-worker-{seq}", 1):
+                    if _spawn_should_fail(faults, chaos_key, 1):
                         raise OSError("injected spawn failure")
                     parent_conn, child_conn = self.ctx.Pipe(duplex=True)
                     process = self.ctx.Process(
@@ -1605,185 +1178,181 @@ class Supervisor:
                             "back to in-process serial execution "
                             "(results identical)"
                         )
-                    return False
+                    return
                 spawn_failures = 0
                 child_conn.close()
-                pool_workers[worker_id] = _PoolWorker(
-                    worker_id=worker_id, process=process, conn=parent_conn,
-                    spawned_at=time.monotonic(),
+                slots[worker_id] = _Slot(
+                    worker_id, parent_conn, process=process,
+                    opened_at=time.monotonic(),
                 )
-                report.workers_started += 1
-                report.cells_per_worker.setdefault(worker_id, 0)
-                if started_initial[0]:
-                    report.respawns += 1
+                pool.workers_started += 1
+                cells_served.setdefault(worker_id, 0)
+                if pool_started:
+                    pool.respawns += 1
                     self._incident("worker_respawn", "", 0,
                                    "replacing a dead or killed worker",
                                    worker=worker_id)
-                return True
 
-            def ensure_workers() -> None:
-                busy = sum(1 for w in pool_workers.values() if w.queue)
-                desired = min(n_workers, busy + len(pending))
-                while len(pool_workers) < desired and not self._inline_mode:
-                    spawn_pool_worker()
-
-            def stop_pool() -> None:
-                for worker in pool_workers.values():
+            def stop_slots() -> None:
+                for slot in slots.values():
                     with contextlib.suppress(Exception):
-                        worker.conn.send({"stop": True})
-                for worker in pool_workers.values():
-                    worker.process.join(policy.join_timeout_seconds)
-                    if worker.process.is_alive():
-                        escalate_kill(worker.process, policy.grace_seconds,
-                                      policy.join_timeout_seconds)
+                        slot.conn.send({"stop": True})
+                for slot in slots.values():
+                    if slot.process is not None:
+                        slot.process.join(policy.join_timeout_seconds)
+                        if slot.process.is_alive():
+                            escalate_kill(slot.process, policy.grace_seconds,
+                                          policy.join_timeout_seconds)
                     with contextlib.suppress(Exception):
-                        worker.conn.close()
-                pool_workers.clear()
+                        slot.conn.close()
+                slots.clear()
 
-            def fail_pool_worker(worker: _PoolWorker, event: str,
-                                 reason: str, kill: bool) -> None:
-                if kill:
-                    how = escalate_kill(worker.process, policy.grace_seconds,
+            def fail_slot(slot: _Slot, event: str, reason: str,
+                          kill: bool = True) -> None:
+                """End a worker; re-enqueue its cells; retry the running one."""
+                slots.pop(slot.worker_id, None)
+                detail = reason
+                if slot.process is not None and kill:
+                    how = escalate_kill(slot.process, policy.grace_seconds,
                                         policy.join_timeout_seconds)
                     detail = f"{reason}; worker {how}"
-                else:
-                    worker.process.join(policy.join_timeout_seconds)
-                    detail = reason
+                elif slot.process is not None:
+                    slot.process.join(policy.join_timeout_seconds)
                 with contextlib.suppress(Exception):
-                    worker.conn.close()
-                pool_workers.pop(worker.worker_id, None)
-                queue = worker.queue
-                worker.queue = []
+                    slot.conn.close()
+                queue, slot.queue = slot.queue, []
                 # Prefetched cells the worker never started go straight
                 # back to pending without burning an attempt.
                 for extra in reversed(queue[1:]):
                     attempts[extra.task.index] -= 1
                     pending.appendleft(extra.task)
-                if not queue:
+                if queue:
+                    inflight = queue[0]
+                    index = inflight.task.index
+                    elapsed[index] = (
+                        elapsed.get(index, 0.0)
+                        + (time.monotonic() - inflight.assigned_at)
+                    )
+                    self._incident(event, inflight.task.key,
+                                   inflight.attempt, detail,
+                                   worker=slot.worker_id)
+                    settle_failure(inflight.task, inflight.attempt, reason,
+                                   retryable=True, worker_id=slot.worker_id)
+                else:
                     self._incident(event, "", 0, detail,
-                                   worker=worker.worker_id)
-                    return
-                inflight = queue[0]
-                index = inflight.task.index
-                elapsed[index] = (
-                    elapsed.get(index, 0.0)
-                    + (time.monotonic() - inflight.assigned_at)
-                )
-                self._incident(event, inflight.task.key, inflight.attempt,
-                               detail, worker=worker.worker_id)
-                settle_failure(inflight.task, inflight.attempt, reason,
-                               retryable=True, worker_id=worker.worker_id)
+                                   worker=slot.worker_id)
+                if slot.address is not None:
+                    note_endpoint_failure(slot.address, reason)
 
-            def assign_work(now: float) -> bool:
+            def fail_dispatch(slot: _Slot, exc: BaseException) -> None:
+                if slot.process is None:
+                    fail_slot(slot, "crash", "connection lost on dispatch "
+                              f"({type(exc).__name__}: {exc})")
+                    return
+                # A broken dispatch pipe usually means the worker died;
+                # report its exit code rather than the symptom when so.
+                slot.process.join(policy.join_timeout_seconds)
+                alive = slot.process.is_alive()
+                if alive:
+                    reason = f"worker pipe broken on dispatch ({exc})"
+                else:
+                    reason = (f"worker crashed (exit code "
+                              f"{slot.process.exitcode})")
+                fail_slot(slot, "crash", reason, kill=alive)
+
+            def assign(now: float) -> bool:
                 # Two passes: every ready worker gets a first cell
                 # before any worker gets its prefetch slot filled, so
                 # prefetching never starves an idle worker.
                 progressed = False
                 blocked: List[SupervisedTask] = []
                 for depth in range(1, POOL_PREFETCH_DEPTH + 1):
-                    for worker in list(pool_workers.values()):
-                        if not worker.ready or len(worker.queue) >= depth:
+                    for slot in list(slots.values()):
+                        if not slot.ready or len(slot.queue) >= depth:
                             continue
                         while pending:
                             task = pending.popleft()
-                            if eligible_at.get(task.index, 0.0) > now:
+                            # Never queue a key behind itself: the first
+                            # instance must settle first so quarantine
+                            # can veto the duplicate.
+                            if (eligible_at.get(task.index, 0.0) > now
+                                    or any(q.task.key == task.key
+                                           for q in slot.queue)):
                                 blocked.append(task)
                                 continue
-                            if any(q.task.key == task.key
-                                   for q in worker.queue):
-                                # Never queue a key behind itself: the
-                                # first instance must settle first so
-                                # quarantine can veto the duplicate,
-                                # exactly as in per-cell dispatch.
-                                blocked.append(task)
+                            progressed = True
+                            attempt = next_attempt(task)
+                            if attempt is None:
                                 continue
-                            attempt = attempts.get(task.index, 0) + 1
-                            attempts[task.index] = attempt
-                            if task.key in quarantined:
-                                self._incident("quarantine_hit", task.key,
-                                               attempt, quarantined[task.key])
-                                settle(task, TaskOutcome(
-                                    task,
-                                    error=("quarantined poison cell: "
-                                           f"{quarantined[task.key]}"),
-                                    attempts=attempt,
-                                ))
-                                progressed = True
-                                continue
+                            frame = {
+                                "target": task.target,
+                                "payload": task.payload,
+                                "key": task.key,
+                                "attempt": attempt,
+                            }
+                            if slot.process is None:
+                                # Durations only cross hosts: the remote
+                                # clock never meets the parent's.
+                                frame["heartbeat_every"] = (
+                                    policy.heartbeat_interval_accesses
+                                )
+                            else:
+                                frame["dispatched"] = time.monotonic()
                             try:
-                                worker.conn.send({
-                                    "target": task.target,
-                                    "payload": task.payload,
-                                    "key": task.key,
-                                    "attempt": attempt,
-                                    "dispatched": time.monotonic(),
-                                })
-                            except (OSError, ValueError) as exc:
+                                slot.conn.send(frame)
+                            except (OSError, ValueError,
+                                    RemoteProtocolError) as exc:
                                 attempts[task.index] = attempt - 1
                                 pending.appendleft(task)
-                                # A broken dispatch pipe usually means
-                                # the worker died; report its exit code
-                                # rather than the symptom when so.
-                                worker.process.join(
-                                    policy.join_timeout_seconds)
-                                alive = worker.process.is_alive()
-                                if alive:
-                                    reason = ("worker pipe broken on "
-                                              f"dispatch ({exc})")
-                                else:
-                                    reason = ("worker crashed (exit code "
-                                              f"{worker.process.exitcode})")
-                                fail_pool_worker(worker, "crash", reason,
-                                                 kill=alive)
-                                progressed = True
+                                fail_dispatch(slot, exc)
                                 break
-                            worker.queue.append(_PoolInFlight(
+                            slot.queue.append(_InFlight(
                                 task=task, attempt=attempt,
                                 assigned_at=now, last_progress_at=now,
                             ))
+                            where = f" @ {slot.address}" if slot.address else ""
                             self.emit(
-                                f"start: {task.key} "
-                                f"(attempt {attempt}/{policy.max_attempts})"
+                                f"start: {task.key} (attempt {attempt}"
+                                f"/{policy.max_attempts}){where}"
                             )
-                            progressed = True
                             break
                 pending.extendleft(reversed(blocked))
                 return progressed
 
-            def pump_worker(worker: _PoolWorker) -> bool:
+            def pump(slot: _Slot) -> None:
                 final = None
-                broken = False
+                lost: Optional[BaseException] = None
                 while True:
                     try:
-                        if not worker.conn.poll():
+                        if not slot.conn.poll():
                             break
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        broken = True
+                        message = slot.conn.recv()
+                    except (EOFError, OSError, RemoteProtocolError) as exc:
+                        lost = exc
                         break
                     if not isinstance(message, dict):
                         continue
                     if "ready" in message:
-                        worker.ready = True
+                        slot.ready = True
                         continue
                     if "hb" in message:
-                        if worker.queue:
-                            worker.queue[0].last_progress_at = time.monotonic()
-                            worker.queue[0].progress = int(message["hb"])
+                        if slot.queue:
+                            slot.queue[0].last_progress_at = time.monotonic()
+                            slot.queue[0].progress = int(message["hb"])
                         continue
                     final = message
                     break
-                if final is not None and worker.queue:
-                    inflight = worker.queue.pop(0)
-                    if worker.queue:
+                if final is not None and slot.queue:
+                    inflight = slot.queue.pop(0)
+                    if slot.queue:
                         # The prefetched cell is now the one running:
                         # restart its policing clocks so its queue wait
                         # is not mistaken for a hang or timeout.
                         promoted_at = time.monotonic()
-                        worker.queue[0].assigned_at = promoted_at
-                        worker.queue[0].last_progress_at = promoted_at
-                    worker.cells += 1
-                    report.cells_per_worker[worker.worker_id] = worker.cells
+                        slot.queue[0].assigned_at = promoted_at
+                        slot.queue[0].last_progress_at = promoted_at
+                    served_by = slot.address or slot.worker_id
+                    cells_served[served_by] = cells_served.get(served_by, 0) + 1
                     index = inflight.task.index
                     elapsed[index] = elapsed.get(index, 0.0) + _settled_wall(
                         final, time.monotonic() - inflight.assigned_at,
@@ -1793,278 +1362,153 @@ class Supervisor:
                             inflight.task, value=final["value"],
                             attempts=inflight.attempt,
                             wall_seconds=elapsed[index],
-                            worker_id=worker.worker_id,
+                            worker_id=slot.worker_id,
                             sim_seconds=final.get("sim_seconds"),
                         ))
                     else:
                         reason = final.get("error", "worker error")
                         self._incident("worker_error", inflight.task.key,
                                        inflight.attempt, reason,
-                                       worker=worker.worker_id)
+                                       worker=slot.worker_id)
                         settle_failure(
                             inflight.task, inflight.attempt, reason,
                             bool(final.get("retryable", False)),
-                            worker_id=worker.worker_id,
+                            worker_id=slot.worker_id,
                             sim_seconds=final.get("sim_seconds"),
                         )
-                    return True
-                if broken or not worker.process.is_alive():
-                    worker.process.join(policy.join_timeout_seconds)
-                    reason = (
-                        "worker crashed "
-                        f"(exit code {worker.process.exitcode})"
-                    )
-                    fail_pool_worker(worker, "crash", reason, kill=False)
-                    return True
-                return False
+                    return
+                if slot.process is None:
+                    if lost is None:
+                        return
+                    reason = ("connection lost mid-cell "
+                              f"({type(lost).__name__}: {lost})")
+                elif lost is None and slot.process.is_alive():
+                    return
+                else:
+                    slot.process.join(policy.join_timeout_seconds)
+                    reason = f"worker crashed (exit code {slot.process.exitcode})"
+                fail_slot(slot, "crash", reason, kill=False)
 
-            def police_workers(now: float) -> bool:
-                progressed = False
-                for worker in list(pool_workers.values()):
-                    inflight = worker.queue[0] if worker.queue else None
-                    if inflight is None:
-                        if not worker.process.is_alive():
-                            worker.process.join(policy.join_timeout_seconds)
-                            fail_pool_worker(
-                                worker, "crash",
-                                "idle worker died (exit code "
-                                f"{worker.process.exitcode})", kill=False,
-                            )
-                            progressed = True
-                        elif (not worker.ready
+            def police(now: float) -> None:
+                # Policed by the parent's clock alone: remote timestamps
+                # never enter a comparison, so host clock skew cannot
+                # misfire a kill.
+                for slot in list(slots.values()):
+                    process = slot.process
+                    if not slot.queue:
+                        if process is None:
+                            continue
+                        if not process.is_alive():
+                            process.join(policy.join_timeout_seconds)
+                            fail_slot(slot, "crash", "idle worker died "
+                                      f"(exit code {process.exitcode})",
+                                      kill=False)
+                        elif (not slot.ready
                               and policy.hang_timeout_seconds is not None
-                              and now - worker.spawned_at
+                              and now - slot.opened_at
                               > policy.hang_timeout_seconds
                               + policy.grace_seconds):
                             # Setup wedged before the ready handshake; no
                             # cell is lost — just replace the worker.
-                            fail_pool_worker(
-                                worker, "hang",
-                                "worker never became ready", kill=True,
-                            )
-                            progressed = True
+                            fail_slot(slot, "hang",
+                                      "worker never became ready")
                         continue
-                    wall = now - inflight.assigned_at
+                    inflight = slot.queue[0]
                     if (policy.timeout_seconds is not None
-                            and wall > policy.timeout_seconds):
-                        fail_pool_worker(
-                            worker, "timeout",
-                            f"timeout after {policy.timeout_seconds:.1f}s",
-                            kill=True,
-                        )
-                        progressed = True
-                        continue
-                    idle = now - inflight.last_progress_at
-                    if (policy.hang_timeout_seconds is not None
-                            and idle > policy.hang_timeout_seconds):
-                        fail_pool_worker(
-                            worker, "hang",
-                            f"hung: no progress for "
-                            f"{policy.hang_timeout_seconds:.1f}s "
-                            f"(last heartbeat at {inflight.progress} "
-                            "accesses)", kill=True,
-                        )
-                        progressed = True
-                        continue
-                    if policy.max_rss_bytes is not None:
-                        rss = _rss_bytes(worker.process.pid)
+                            and now - inflight.assigned_at
+                            > policy.timeout_seconds):
+                        fail_slot(slot, "timeout", "timeout after "
+                                  f"{policy.timeout_seconds:.1f}s")
+                    elif (policy.hang_timeout_seconds is not None
+                          and now - inflight.last_progress_at
+                          > policy.hang_timeout_seconds):
+                        fail_slot(slot, "hang", "hung: no progress for "
+                                  f"{policy.hang_timeout_seconds:.1f}s "
+                                  f"(last heartbeat at {inflight.progress} "
+                                  "accesses)")
+                    elif process is not None and policy.max_rss_bytes is not None:
+                        rss = _rss_bytes(process.pid)
                         if rss is not None and rss > policy.max_rss_bytes:
-                            fail_pool_worker(
-                                worker, "rss_kill",
-                                f"RSS {rss} bytes exceeded the "
-                                f"{policy.max_rss_bytes}-byte ceiling",
-                                kill=True,
-                            )
-                            progressed = True
-                return progressed
+                            fail_slot(slot, "rss_kill", f"RSS {rss} bytes "
+                                      f"exceeded the {policy.max_rss_bytes}"
+                                      "-byte ceiling")
 
-            while pending or any(w.queue for w in pool_workers.values()):
+            while pending or any(slot.queue for slot in slots.values()):
                 if self._signal_name is not None:
                     shutdown(self._signal_name)
-                busy = sum(1 for w in pool_workers.values() if w.queue)
-                if self._inline_mode:
-                    if busy == 0:
-                        break  # drain the rest through the serial loop
-                else:
-                    ensure_workers()
-                    if not started_initial[0] and pool_workers:
-                        started_initial[0] = True
+                busy = sum(1 for slot in slots.values() if slot.queue)
+                if remote:
+                    connect_endpoints(time.monotonic())
+                    if not slots:
+                        if len(report.quarantined) < len(endpoint_list):
+                            time.sleep(0.005)  # reconnect backoff running
+                            continue
+                        report.degraded = True
+                        detail = (
+                            f"all {len(endpoint_list)} endpoint(s) "
+                            "quarantined; falling back to local dispatch"
+                        )
+                        self._incident("remote_degraded", "", 0, detail)
+                        self.emit(f"WARNING: {detail} (results identical)")
+                        return
+                elif not self._inline_mode:
+                    while (len(slots) < min(n_workers, busy + len(pending))
+                           and not self._inline_mode):
+                        spawn_worker()
+                    if not pool_started and slots:
+                        pool_started = True
                         self._incident(
                             "pool_start", "", 0,
-                            f"{len(pool_workers)} persistent worker(s)",
+                            f"{len(slots)} persistent worker(s)",
                         )
-                    if self._inline_mode and busy == 0:
-                        break
-                now = time.monotonic()
-                progressed = False
-                if not self._inline_mode:
-                    progressed = assign_work(now)
-                conns = {w.conn: w for w in pool_workers.values()}
+                if self._inline_mode and busy == 0:
+                    break  # the serial rung drains the rest
+                progressed = not self._inline_mode and assign(time.monotonic())
+                conns = {slot.conn: slot for slot in slots.values()}
                 if conns:
                     # connection.wait() is the latency lever: a final
                     # message wakes the parent immediately instead of on
-                    # the next sleep-poll tick, so pool dispatch costs
+                    # the next sleep-poll tick, so dispatch costs
                     # microseconds, not a scheduler quantum.
                     try:
                         ready = _wait_for_conns(
-                            list(conns),
-                            timeout=0.0 if progressed else 0.005,
+                            list(conns), timeout=0.0 if progressed else 0.005,
                         )
-                    except OSError:
+                    except (OSError, ValueError):
                         ready = list(conns)
                     for conn in ready:
-                        worker = conns[conn]
-                        if worker.worker_id not in pool_workers:
-                            continue
-                        if pump_worker(worker):
-                            progressed = True
+                        slot = conns[conn]
+                        if slots.get(slot.worker_id) is slot:
+                            pump(slot)
                 elif not progressed:
                     time.sleep(0.005)
-                police_workers(time.monotonic())
-            stop_pool()
+                police(time.monotonic())
+            stop_slots()
+
+        def drain_inline() -> None:
+            # The last rung: in-process, one cell at a time, through the
+            # same settle closures (so retry backoff and quarantine hold).
+            while pending:
+                if self._signal_name is not None:
+                    shutdown(self._signal_name)
+                now = time.monotonic()
+                task = next((t for t in pending
+                             if eligible_at.get(t.index, 0.0) <= now), None)
+                if task is None:
+                    time.sleep(0.005)
+                    continue
+                pending.remove(task)
+                attempt = next_attempt(task)
+                if attempt is not None:
+                    run_inline(task, attempt)
 
         with self._graceful_signals():
             try:
                 if endpoint_list and not self._inline_mode:
-                    # Rung 1: remote endpoints. Returns early (with
-                    # cells still pending) only when every endpoint
-                    # has been quarantined.
-                    remote_loop()
-                if mode in ("pool", "remote") and not self._inline_mode:
-                    # Rung 2 (the default lifecycle): the local pool;
-                    # on serial fallback, pool_loop returns with cells
-                    # still pending and the loop below (whose launch()
-                    # is inline by then) drains them.
-                    pool_loop()
-                while pending or running:
-                    if self._signal_name is not None:
-                        shutdown(self._signal_name)
-                    now = time.monotonic()
-                    # Launch eligible tasks into free worker slots.
-                    launched_any = False
-                    if pending and len(running) < n_workers:
-                        blocked = []
-                        while pending and len(running) < n_workers:
-                            task = pending.popleft()
-                            if eligible_at.get(task.index, 0.0) > now:
-                                blocked.append(task)
-                                continue
-                            launch(task)
-                            launched_any = True
-                            if self._inline_mode and pending:
-                                # Inline execution is synchronous; check
-                                # for signals between cells.
-                                break
-                        pending.extendleft(reversed(blocked))
-                    progressed = launched_any
-                    now = time.monotonic()
-                    for index in list(running):
-                        entry = running.get(index)
-                        if entry is None:
-                            continue
-                        final = None
-                        broken = False
-                        while entry.conn.poll():
-                            try:
-                                message = entry.conn.recv()
-                            except (EOFError, OSError):
-                                broken = True
-                                break
-                            if "hb" in message:
-                                entry.last_progress_at = time.monotonic()
-                                entry.progress = int(message["hb"])
-                                continue
-                            final = message
-                            break
-                        if final is not None:
-                            worker_id = f"pid{entry.process.pid}"
-                            entry.process.join(policy.join_timeout_seconds)
-                            if entry.process.is_alive():
-                                escalate_kill(
-                                    entry.process, policy.grace_seconds,
-                                    policy.join_timeout_seconds,
-                                )
-                            with contextlib.suppress(Exception):
-                                entry.conn.close()
-                            del running[index]
-                            elapsed[index] = elapsed.get(
-                                index, 0.0,
-                            ) + _settled_wall(final, now - entry.started_at)
-                            progressed = True
-                            if final.get("ok"):
-                                settle(entry.task, TaskOutcome(
-                                    entry.task, value=final["value"],
-                                    attempts=entry.attempt,
-                                    wall_seconds=elapsed[index],
-                                    worker_id=worker_id,
-                                    sim_seconds=final.get("sim_seconds"),
-                                ))
-                            else:
-                                reason = final.get("error", "worker error")
-                                self._incident("worker_error", entry.task.key,
-                                               entry.attempt, reason,
-                                               worker=worker_id)
-                                settle_failure(
-                                    entry.task, entry.attempt, reason,
-                                    bool(final.get("retryable", False)),
-                                    worker_id=worker_id,
-                                    sim_seconds=final.get("sim_seconds"),
-                                )
-                            continue
-                        if broken or not entry.process.is_alive():
-                            # Died without a final message: crash
-                            # (segfault, OOM kill, os._exit, ...).
-                            worker_id = f"pid{entry.process.pid}"
-                            entry.process.join(policy.join_timeout_seconds)
-                            code = entry.process.exitcode
-                            with contextlib.suppress(Exception):
-                                entry.conn.close()
-                            del running[index]
-                            elapsed[index] = (
-                                elapsed.get(index, 0.0)
-                                + (now - entry.started_at)
-                            )
-                            progressed = True
-                            reason = f"worker crashed (exit code {code})"
-                            self._incident("crash", entry.task.key,
-                                           entry.attempt, reason,
-                                           worker=worker_id)
-                            settle_failure(entry.task, entry.attempt, reason,
-                                           retryable=True, worker_id=worker_id)
-                            continue
-                        wall = now - entry.started_at
-                        if (policy.timeout_seconds is not None
-                                and wall > policy.timeout_seconds):
-                            progressed = True
-                            kill_and_fail(
-                                entry, "timeout",
-                                f"timeout after {policy.timeout_seconds:.1f}s",
-                            )
-                            continue
-                        idle = now - entry.last_progress_at
-                        if (policy.hang_timeout_seconds is not None
-                                and idle > policy.hang_timeout_seconds):
-                            progressed = True
-                            kill_and_fail(
-                                entry, "hang",
-                                f"hung: no progress for "
-                                f"{policy.hang_timeout_seconds:.1f}s "
-                                f"(last heartbeat at "
-                                f"{entry.progress} accesses)",
-                            )
-                            continue
-                        if policy.max_rss_bytes is not None:
-                            rss = _rss_bytes(entry.process.pid)
-                            if rss is not None and rss > policy.max_rss_bytes:
-                                progressed = True
-                                kill_and_fail(
-                                    entry, "rss_kill",
-                                    f"RSS {rss} bytes exceeded the "
-                                    f"{policy.max_rss_bytes}-byte ceiling",
-                                )
-                                continue
-                    if not progressed and (pending or running):
-                        time.sleep(0.005)
+                    stream(remote=True)
+                if not self._inline_mode:
+                    stream(remote=False)
+                drain_inline()
                 if self._signal_name is not None:
                     shutdown(self._signal_name)
             except _SignalRaised as exc:

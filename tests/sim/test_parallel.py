@@ -131,25 +131,23 @@ class TestRunMany:
         assert report.n_workers == 2
         assert report.respawns == 0
         assert sum(report.cells_per_worker.values()) == len(jobs)
-        per_cell = run_many(jobs, n_jobs=2, dispatch="per-cell")
-        assert all(o.worker_id.startswith("pid") for o in per_cell)
-        assert last_pool_report() is None
         serial = run_many(jobs, n_jobs=1)
         assert all(o.worker_id == "serial" for o in serial)
         assert last_pool_report() is None
 
-    def test_dispatch_overhead_measured_in_both_parallel_modes(self):
-        jobs = small_grid()
-        for dispatch in ("pool", "per-cell"):
-            outcomes = run_many(jobs, n_jobs=2, dispatch=dispatch)
-            for o in outcomes:
-                assert o.sim_seconds is not None
-                assert o.dispatch_overhead_seconds is not None
-                assert o.dispatch_overhead_seconds >= 0.0
+    def test_dispatch_overhead_measured_under_the_pool(self):
+        outcomes = run_many(small_grid(), n_jobs=2, dispatch="pool")
+        for o in outcomes:
+            assert o.sim_seconds is not None
+            assert o.dispatch_overhead_seconds is not None
+            assert o.dispatch_overhead_seconds >= 0.0
 
     def test_rejects_unknown_dispatch_mode(self):
-        with pytest.raises(Exception):
-            run_many(small_grid(), n_jobs=2, dispatch="threads")
+        from repro.errors import ConfigurationError
+
+        for mode in ("threads", "per-cell"):
+            with pytest.raises(ConfigurationError, match="pool, remote"):
+                run_many(small_grid(), n_jobs=2, dispatch=mode)
 
     def test_timeout_terminates_hung_worker(self):
         config = make_config(stacked_pages=8, num_contexts=2)
@@ -351,12 +349,12 @@ class TestGoldenFixturesUnderFanOut:
     @pytest.mark.parametrize("engine", [
         "python", pytest.param("vector", marks=needs_kernel),
     ])
-    @pytest.mark.parametrize("dispatch", ["pool", "per-cell"])
+    @pytest.mark.parametrize("dispatch", ["pool"])
     def test_every_golden_fixture_byte_identical_with_two_workers(
         self, dispatch, engine, monkeypatch
     ):
-        """The whole corpus, fanned out: not one byte may move — under
-        either worker lifecycle, on either engine backend."""
+        """The whole corpus, fanned out: not one byte may move — through
+        the persistent pool, on either engine backend."""
         monkeypatch.setenv("REPRO_ENGINE", engine)
         config = make_config(
             stacked_pages=STACKED_PAGES, num_contexts=NUM_CONTEXTS

@@ -1,5 +1,6 @@
 """Tests for distributed supervised dispatch (repro.sim.remote)."""
 
+import json
 import os
 import signal
 import socket
@@ -321,6 +322,56 @@ class TestRemoteDispatch:
         assert not report.degraded
         assert report.cells_per_endpoint.get(survivor.address, 0) > 0
         assert journal.counts.get("endpoint_quarantine") == 1
+
+
+class TestWedgedRemoteSession:
+    def test_wedged_session_is_policed_and_the_grid_finishes(
+        self, monkeypatch, tmp_path
+    ):
+        """One endpoint wedges every first attempt: the parent's hang
+        police drops the session, quarantines the host, and the
+        survivor (or the local fallback) finishes byte-identical."""
+        monkeypatch.setenv(FAULTS_ENV_VAR, "hang=1.0,max_attempt=1")
+        wedged = start_endpoint_process()
+        monkeypatch.delenv(FAULTS_ENV_VAR)
+        survivor = start_endpoint_process()
+        started = [wedged, survivor]
+        try:
+            config = make_config(
+                stacked_pages=STACKED_PAGES, num_contexts=NUM_CONTEXTS
+            )
+            cases = golden_cases()[:6]
+            jobs = [
+                SimJob(org, wl, config, ACCESSES_PER_CONTEXT, use_l3=True)
+                for org, wl in cases
+            ]
+            journal = IncidentJournal(str(tmp_path / "j.jsonl"))
+            with use_supervision(SupervisorPolicy(
+                max_attempts=2, hang_timeout_seconds=2.0,
+                endpoint_failure_limit=1, **FAST
+            )):
+                outcomes = run_many(
+                    jobs, n_jobs=2, journal=journal,
+                    endpoints=[endpoint.address for _, endpoint in started],
+                )
+            raise_on_failures(outcomes, "golden past a wedged endpoint")
+            hang_lines = [
+                json.loads(line) for line in open(journal.path)
+                if json.loads(line)["event"] == "hang"
+            ]
+            assert any(line["worker"].endswith("@" + wedged[1].address)
+                       for line in hang_lines)
+            assert wedged[1].address in last_remote_report().quarantined
+            for (org, wl), outcome in zip(cases, outcomes):
+                with open(fixture_path(org, wl)) as fp:
+                    expected = fp.read()
+                assert result_to_json(outcome.result) + "\n" == expected, \
+                    f"{org} on {wl} drifted past a wedged endpoint"
+        finally:
+            for process, _ in started:
+                if process.is_alive():
+                    process.terminate()
+                process.join(timeout=5.0)
 
 
 class TestGoldenFixturesOverRemoteEndpoints:

@@ -1,5 +1,6 @@
 """Tests for the shared supervision core (repro.sim.supervisor)."""
 
+import functools
 import json
 import multiprocessing
 import os
@@ -27,6 +28,7 @@ from repro.sim.supervisor import (
     escalate_kill,
     is_retryable_exception,
     journal_from_env,
+    _rss_bytes,
     parse_injected_faults,
     use_supervision,
 )
@@ -76,6 +78,21 @@ def _hang_first_time(path):
         while True:
             time.sleep(0.05)
     return "woke"
+
+
+def _sleep_then_double(payload):
+    """Stays in flight long enough for the parent to police it."""
+    time.sleep(1.0)
+    return payload * 2
+
+
+def _setup_hangs_once(path):
+    """A worker_setup hook that wedges the first worker to run it."""
+    if not os.path.exists(path):
+        with open(path, "w") as fp:
+            fp.write("wedged")
+        while True:
+            time.sleep(0.05)
 
 
 def _ignore_sigterm_forever(conn):
@@ -255,16 +272,19 @@ class TestEnvKnobValidation:
         from repro.errors import EnvKnobError, ReproError
         from repro.sim.supervisor import (
             DISPATCH_ENV_VAR,
+            DISPATCH_MODES,
             default_dispatch_mode,
         )
 
-        monkeypatch.setenv(DISPATCH_ENV_VAR, "pol")
-        with pytest.raises(EnvKnobError) as excinfo:
-            default_dispatch_mode()
-        # The message lists every accepted value, and the type maps to
-        # CLI exit code 2 through the ReproError hierarchy.
-        for mode in ("pool", "per-cell", "remote"):
-            assert mode in str(excinfo.value)
+        assert DISPATCH_MODES == ("pool", "remote")
+        # A typo, and the retired spawn-per-cell mode.
+        for bad in ("pol", "per-cell"):
+            monkeypatch.setenv(DISPATCH_ENV_VAR, bad)
+            # The message lists every accepted value, and the type maps
+            # to CLI exit code 2 through the ReproError hierarchy.
+            with pytest.raises(EnvKnobError,
+                               match="accepted values: pool, remote$"):
+                default_dispatch_mode()
         assert issubclass(EnvKnobError, ConfigurationError)
         assert issubclass(EnvKnobError, ReproError)
 
@@ -406,18 +426,8 @@ class TestPersistentPool:
         assert sum(report.cells_per_worker.values()) == 8
         assert set(report.cells_per_worker) <= {"w0", "w1"}
         assert journal.counts.get("pool_start") == 1
-        # Every cell was served by a pool worker, not a per-cell process.
+        # Every cell was served by a persistent pool worker.
         assert all(o.worker_id in ("w0", "w1") for o in outcomes)
-
-    def test_per_cell_dispatch_leaves_no_pool_report(self):
-        supervisor = Supervisor(SupervisorPolicy(**FAST))
-        outcomes = supervisor.run(
-            tasks_for(_double, [1, 2]), n_workers=2, dispatch="per-cell"
-        )
-        assert [o.value for o in outcomes] == [2, 4]
-        assert supervisor.last_pool_report is None
-        assert all(o.worker_id and o.worker_id.startswith("pid")
-                   for o in outcomes)
 
     def test_crash_mid_queue_respawns_worker_and_reenqueues(self, tmp_path):
         """A worker dying mid-cell costs one respawn: the crashed cell
@@ -475,6 +485,54 @@ class TestPersistentPool:
         assert report.respawns >= 1
         # The sibling survived: both workers served cells.
         assert len(report.cells_per_worker) >= 2
+
+    @pytest.mark.skipif(_rss_bytes(os.getpid()) is None,
+                        reason="no /proc RSS on this platform")
+    def test_worker_over_the_rss_ceiling_is_killed(self, tmp_path):
+        journal = IncidentJournal(str(tmp_path / "j.jsonl"))
+        supervisor = Supervisor(
+            SupervisorPolicy(max_rss_bytes=1, **FAST), journal=journal
+        )
+        outcomes = supervisor.run(
+            tasks_for(_sleep_then_double, [1]), n_workers=1, dispatch="pool"
+        )
+        assert not outcomes[0].ok
+        assert "ceiling" in outcomes[0].error
+        assert journal.counts.get("rss_kill") == 1
+        rss_lines = [
+            json.loads(line) for line in open(journal.path)
+            if json.loads(line)["event"] == "rss_kill"
+        ]
+        assert rss_lines[0]["worker"] == "w0"
+        assert rss_lines[0]["key"] == "t0"
+
+    def test_worker_that_never_becomes_ready_is_replaced(self, tmp_path):
+        """A wedged worker_setup costs one worker, never the cell: the
+        parent journals a hang, respawns, and the cell settles."""
+        journal = IncidentJournal(str(tmp_path / "j.jsonl"))
+        supervisor = Supervisor(
+            SupervisorPolicy(
+                hang_timeout_seconds=0.3, backoff_base_seconds=0.0,
+                grace_seconds=0.3,
+            ),
+            journal=journal,
+            worker_setup=functools.partial(
+                _setup_hangs_once, str(tmp_path / "setup-marker")
+            ),
+        )
+        outcomes = supervisor.run(
+            tasks_for(_double, [4]), n_workers=1, dispatch="pool"
+        )
+        assert outcomes[0].ok and outcomes[0].value == 8
+        assert outcomes[0].attempts == 1
+        hang_lines = [
+            json.loads(line) for line in open(journal.path)
+            if json.loads(line)["event"] == "hang"
+        ]
+        assert len(hang_lines) == 1
+        assert "never became ready" in hang_lines[0]["detail"]
+        assert hang_lines[0]["key"] == ""
+        assert supervisor.last_pool_report.respawns == 1
 
     def test_pool_start_failure_falls_back_to_serial(
         self, tmp_path, monkeypatch

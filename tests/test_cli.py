@@ -152,6 +152,50 @@ class TestBenchRequireKernel:
         assert "disabled" in out
 
 
+class TestBenchFlags:
+    @pytest.mark.parametrize("flag", [
+        ["--dispatch", "remote"], ["--endpoints", "127.0.0.1:7463"],
+    ])
+    def test_bench_takes_no_dispatch_flags(self, flag):
+        """Bench always times the local pool, so a dispatch or endpoint
+        choice would silently mislabel what it measured."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--jobs", "2"] + flag)
+        assert excinfo.value.code == 2
+
+
+class TestWorkerServe:
+    @pytest.mark.parametrize("port", ["70000", "-1", "http"])
+    def test_port_outside_the_tcp_range_rejected_at_parse_time(self, port):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "serve", "--port", port])
+        assert excinfo.value.code == 2
+
+    @staticmethod
+    def assert_one_line_error(capsys, address):
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line]
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert address in lines[0]
+        assert "Traceback" not in err
+
+    def test_unbindable_host_exits_2(self, capsys):
+        # 192.0.2.0/24 is reserved for documentation: numeric (no name
+        # lookup) and assigned to no local interface, so bind() fails.
+        assert main(["worker", "serve", "--host", "192.0.2.1",
+                     "--port", "0"]) == 2
+        self.assert_one_line_error(capsys, "192.0.2.1:0")
+
+    def test_port_in_use_exits_2(self, capsys):
+        import socket
+
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            port = busy.getsockname()[1]
+            assert main(["worker", "serve", "--port", str(port)]) == 2
+        self.assert_one_line_error(capsys, f"127.0.0.1:{port}")
+
+
 class TestTrace:
     def test_trace_dump_roundtrips(self, tmp_path, capsys):
         path = tmp_path / "out.trace"
@@ -209,6 +253,11 @@ class TestArgumentValidation:
     def test_negative_seed_rejected_at_parse_time(self, value):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "cameo", "astar", "--seed", value])
+        assert excinfo.value.code == 2
+
+    def test_removed_per_cell_dispatch_rejected_at_parse_time(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", "2", "--jobs", "2", "--dispatch", "per-cell"])
         assert excinfo.value.code == 2
 
     def test_trace_record_count_must_be_positive(self, tmp_path):
