@@ -7,6 +7,10 @@ Installed as the ``repro`` console script (also ``python -m repro``)::
     repro compare milc              # all headline designs on one workload
     repro figure 13                 # regenerate a paper figure/table
     repro paper --jobs 4            # every matrix figure/table, deduped
+
+``paper``, ``plan run`` and ``campaign`` bank every settled cell in the
+on-disk result store; after an interrupt, running the same command
+again resumes.
 """
 
 from __future__ import annotations
@@ -183,13 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
     paper_p.add_argument("--dry-run", action="store_true",
                          help="print the plan (total cells, unique cells, "
                               "predicted store hits) without simulating")
-    paper_p.add_argument("--resume", metavar="MANIFEST", default=None,
-                         help="seed the result store from a resume manifest "
-                              "written by an interrupted run, then simulate "
-                              "only the missing cells")
-    paper_p.add_argument("--manifest", default="repro-resume.json",
-                         help="where to write the resume manifest if this "
-                              "run is interrupted (default: %(default)s)")
     _add_jobs(paper_p)
     _add_dispatch(paper_p)
     _add_no_result_cache(paper_p)
@@ -278,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     plan_p = sub.add_parser(
         "plan",
         help="declarative campaign plans: DAG of stages with per-stage "
-             "failure policy, interrupt-safe resume",
+             "failure policy; re-run to resume after an interrupt",
     )
     plan_sub = plan_p.add_subparsers(dest="plan_command", required=True)
     val_p = plan_sub.add_parser(
@@ -286,16 +283,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     val_p.add_argument("plan_file", help="YAML/JSON campaign plan")
     prun_p = plan_sub.add_parser(
-        "run", help="execute a plan (re-run with --resume after an interrupt)"
+        "run", help="execute a plan (re-run the same command after an "
+                    "interrupt: settled cells are served from the store)"
     )
     prun_p.add_argument("plan_file", help="YAML/JSON campaign plan")
     prun_p.add_argument("--status", default=None, metavar="PATH",
                         help="atomic status JSON (default: "
                              "<plan>.status.json next to the plan file)")
-    prun_p.add_argument("--resume", action="store_true",
-                        help="continue from the status file: banked cells "
-                             "replay from the result store, changed stages "
-                             "(and their dependents) re-run")
     prun_p.add_argument("--export", default=None, metavar="PATH",
                         help="write a deterministic results JSON on "
                              "completion (byte-identical whether or not the "
@@ -329,13 +323,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also write quarantined lines (with line numbers "
                             "and reasons) to this file")
 
+    # No abbreviations: ``--seed`` must not silently mean ``--seeds``.
     camp_p = sub.add_parser(
-        "campaign",
-        help="crash-safe (org x workload x seed) sweep with checkpoint/resume",
+        "campaign", allow_abbrev=False,
+        help="(org x workload x seed) sweep as a one-stage plan; re-run "
+             "the same command to resume",
     )
-    camp_p.add_argument("--checkpoint", required=True,
-                        help="JSON checkpoint path (also the output file); "
-                             "re-run with the same path to resume")
+    camp_p.add_argument("--export", default=None, metavar="PATH",
+                        help="write every point's full result as a "
+                             "deterministic JSON on completion")
     camp_p.add_argument("--orgs", type=_name_list, default=["baseline", "cameo"],
                         help="comma-separated organization names")
     camp_p.add_argument("--workloads", type=_name_list, default=["milc", "astar"],
@@ -343,11 +339,14 @@ def _build_parser() -> argparse.ArgumentParser:
     camp_p.add_argument("--seeds", type=_int_list, default=[0],
                         help="comma-separated seeds")
     camp_p.add_argument("--timeout", type=float, default=300.0,
-                        help="per-run wall-clock budget in seconds")
+                        help="per-point wall-clock budget in seconds "
+                             "(enforced with --workers >= 2)")
     camp_p.add_argument("--attempts", type=_positive_int, default=3,
-                        help="tries per point before giving up")
+                        help="tries per point before giving up "
+                             "(with --workers >= 2)")
     camp_p.add_argument("--workers", type=_positive_int, default=1,
-                        help="concurrent subprocess workers")
+                        help="concurrent subprocess workers (1 runs "
+                             "in-process)")
     camp_p.add_argument("--hang-timeout", type=_positive_float, default=None,
                         metavar="SECONDS",
                         help="kill a worker reporting no progress for this "
@@ -356,7 +355,10 @@ def _build_parser() -> argparse.ArgumentParser:
     camp_p.add_argument("--journal", default=None, metavar="PATH",
                         help="append supervision incidents (retries, kills, "
                              "fallbacks) to this JSONL file")
-    _add_common(camp_p)
+    camp_p.add_argument("--accesses", type=_positive_int, default=None,
+                        help="trace length per context")
+    camp_p.add_argument("--scale-shift", type=int, default=12,
+                        help="capacity scale (0 = paper size)")
 
     worker_p = sub.add_parser(
         "worker",
@@ -581,21 +583,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_paper(args: argparse.Namespace) -> int:
-    import contextlib
-
     from .experiments import PAPER_PLANNERS
-    from .sim.plan import (
-        build_grid_plan,
-        execute_grid_plan,
-        load_resume_manifest,
-        seed_store_from_manifest,
-        write_resume_manifest,
-    )
-    from .sim.result_store import (
-        ResultStore,
-        default_result_store,
-        use_result_store,
-    )
+    from .sim.plan import build_grid_plan, execute_grid_plan
+    from .sim.result_store import durable_result_store
 
     names = args.experiments or list(PAPER_PLANNERS)
     unknown = [name for name in names if name not in PAPER_PLANNERS]
@@ -604,24 +594,9 @@ def _cmd_paper(args: argparse.Namespace) -> int:
         raise ReproError(
             f"unknown experiment(s): {', '.join(unknown)} (known: {known})"
         )
-    if args.resume and args.no_result_cache:
-        raise ReproError(
-            "--resume serves completed cells through the result store; "
-            "it cannot be combined with --no-result-cache"
-        )
     _apply_dispatch(args)
-    manifest = load_resume_manifest(args.resume) if args.resume else None
-    store_context = contextlib.nullcontext()
-    if manifest is not None and default_result_store() is None:
-        # Result caching is off (REPRO_RESULT_CACHE=off): serve the
-        # manifest's cells from a temporary in-memory store instead.
-        store_context = use_result_store(ResultStore())
     journal = _journal_from_args(args)
-    with _maybe_no_result_cache(args), store_context:
-        if manifest is not None:
-            seeded = seed_store_from_manifest(manifest, default_result_store())
-            print(f"resume: seeded {seeded} completed cell(s) from "
-                  f"{args.resume}")
+    with _maybe_no_result_cache(args), durable_result_store():
         print(f"declaring {len(names)} experiment grid(s)...")
         planned = [
             PAPER_PLANNERS[name](
@@ -633,39 +608,21 @@ def _cmd_paper(args: argparse.Namespace) -> int:
         print(plan.describe())
         if args.dry_run:
             return 0
-        try:
-            report = execute_grid_plan(
-                plan,
-                n_jobs=args.jobs,
-                log=print,
-                max_attempts=args.max_attempts,
-                hang_timeout_seconds=args.hang_timeout,
-                journal=journal,
-                dispatch=args.dispatch,
-                endpoints=args.endpoints,
-            )
-        except InterruptedRunError as exc:
-            saved = write_resume_manifest(
-                args.manifest,
-                exc.outcomes or [],
-                exc.signal_name,
-                recipe={
-                    "experiments": names,
-                    "accesses": args.accesses,
-                    "seed": args.seed,
-                },
-                pending_keys=exc.pending_keys,
-            )
-            print(f"\ninterrupted by {exc.signal_name}: {saved} completed "
-                  f"cell(s) saved to {args.manifest}", file=sys.stderr)
-            print(f"resume with: repro paper --resume {args.manifest}",
-                  file=sys.stderr)
-            return EXIT_INTERRUPTED
-        for result in report.results:
-            print()
-            print(result.render())
+        report = execute_grid_plan(
+            plan,
+            n_jobs=args.jobs,
+            log=print,
+            max_attempts=args.max_attempts,
+            hang_timeout_seconds=args.hang_timeout,
+            journal=journal,
+            dispatch=args.dispatch,
+            endpoints=args.endpoints,
+        )
+    for result in report.results:
         print()
-        print(report.describe())
+        print(result.render())
+    print()
+    print(report.describe())
     return 0
 
 
@@ -718,6 +675,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     from .sim.planfile import (
         describe_status, load_plan, load_status, run_plan,
     )
+    from .sim.result_store import durable_result_store
 
     if args.plan_command == "status":
         print(describe_status(load_status(args.status_file)))
@@ -731,28 +689,17 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         os.path.splitext(args.plan_file)[0] + ".status.json"
     )
     _apply_dispatch(args)
-    with _maybe_no_result_cache(args):
-        try:
-            report = run_plan(
-                plan,
-                status_path,
-                n_jobs=args.jobs,
-                log=print,
-                journal=_journal_from_args(args),
-                resume=args.resume,
-                export_path=args.export,
-                dispatch=args.dispatch,
-                endpoints=args.endpoints,
-            )
-        except InterruptedRunError as exc:
-            print(f"interrupted: {exc}", file=sys.stderr)
-            print(
-                f"completed cells are banked in {status_path}; continue "
-                f"with: repro plan run {args.plan_file} --status "
-                f"{status_path} --resume",
-                file=sys.stderr,
-            )
-            return EXIT_INTERRUPTED
+    with _maybe_no_result_cache(args), durable_result_store():
+        report = run_plan(
+            plan,
+            status_path,
+            n_jobs=args.jobs,
+            log=print,
+            journal=_journal_from_args(args),
+            export_path=args.export,
+            dispatch=args.dispatch,
+            endpoints=args.endpoints,
+        )
     print()
     print(report.describe())
     print(f"status: {status_path}")
@@ -944,26 +891,53 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .sim.campaign import CampaignSpec, run_campaign
+    from .sim.planfile import (
+        PLAN_KIND, PLAN_SCHEMA_VERSION, parse_plan, run_plan,
+    )
+    from .sim.result_store import durable_result_store
 
-    spec = CampaignSpec(
-        organizations=tuple(args.orgs),
-        workloads=tuple(args.workloads),
-        seeds=tuple(args.seeds),
-        accesses_per_context=args.accesses,
-        scale_shift=args.scale_shift,
-        timeout_seconds=args.timeout,
-        max_attempts=args.attempts,
-    )
-    result = run_campaign(
-        spec, args.checkpoint, max_workers=args.workers, log=print,
-        hang_timeout_seconds=args.hang_timeout,
-        journal=_journal_from_args(args),
-    )
+    grid = {
+        "orgs": args.orgs,
+        "workloads": args.workloads,
+        "seeds": args.seeds,
+        "accesses": args.accesses,
+        "scale_shift": args.scale_shift,
+    }
+    policy = {
+        "max_attempts": args.attempts,
+        "timeout_seconds": args.timeout,
+        "hang_timeout_seconds": args.hang_timeout,
+        "on_failure": "continue",
+    }
+    plan = parse_plan({
+        "plan": PLAN_KIND,
+        "version": PLAN_SCHEMA_VERSION,
+        "name": "campaign",
+        "stages": [{"name": "campaign", "grid": grid, "failure_policy": policy}],
+    }, "repro campaign")
+    with durable_result_store():
+        report = run_plan(
+            plan,
+            n_jobs=args.workers,
+            log=print,
+            journal=_journal_from_args(args),
+            export_path=args.export,
+        )
+    rows = []
+    for outcome in report.outcomes.get("campaign", []):
+        if outcome.ok:
+            rows.append([outcome.job.key, "ok", f"{outcome.result.ipc:.3f}"])
+        else:
+            rows.append([outcome.job.key, "FAILED", outcome.error])
+    done = sum(1 for row in rows if row[1] == "ok")
+    total = len(args.orgs) * len(args.workloads) * len(args.seeds)
     print()
-    print(result.render())
-    print(f"\ncheckpoint (and results): {args.checkpoint}")
-    return 0 if result.all_completed else 1
+    print(format_table(
+        ["point", "status", "IPC"], rows,
+        title=f"Campaign: {done}/{total} points complete",
+    ))
+    print(report.describe())
+    return 0 if done == total else 1
 
 
 _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
@@ -989,10 +963,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     Library errors (:class:`~repro.errors.ReproError`) are reported as a
     one-line message on stderr with exit code 2 — bad input and broken
-    checkpoints should not look like simulator crashes. A graceful
+    plans should not look like simulator crashes. A graceful
     SIGINT/SIGTERM shutdown exits with :data:`EXIT_INTERRUPTED` (3):
-    completed cells were flushed (result store / checkpoint) and the run
-    can be resumed, so wrappers must not treat it like an error.
+    completed cells were flushed to the result store, and for
+    ``paper``, ``plan run`` and ``campaign`` the message names the store
+    directory — running the same command again resumes, so wrappers
+    must not treat it like an error.
     """
     args = _build_parser().parse_args(argv)
     command = _COMMANDS.get(args.command)
@@ -1001,8 +977,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return command(args)
     except InterruptedRunError as exc:
-        # Commands with richer resume flows (repro paper) catch this
-        # themselves; everything else gets the generic contract.
         print(f"interrupted: {exc}", file=sys.stderr)
         return EXIT_INTERRUPTED
     except ReproError as exc:

@@ -102,12 +102,8 @@ class RecoveryExhaustedError(FaultError):
         super().__init__(message, device=device, line_addr=line_addr, permanent=True)
 
 
-class CampaignError(ReproError):
-    """A campaign run cannot proceed (e.g. a checkpoint from another spec)."""
-
-
 class PlanError(ReproError):
-    """A campaign plan file, status file, or resume manifest is invalid.
+    """A campaign plan (a file, or ``repro campaign``'s grid) or status file is invalid.
 
     Raised at parse/validation time with the offending file (and line,
     where one exists) named in the message — a malformed plan must fail
@@ -155,8 +151,9 @@ class InterruptedRunError(ReproError):
     store), so the run can be completed later. ``outcomes`` holds the
     partial per-job outcome list (``None`` for cells that never
     finished) and ``pending_keys`` names the unfinished cells. The CLI
-    maps this to its own distinct exit code and, for ``repro paper``,
-    writes a resume manifest first.
+    maps this to its own distinct exit code; resumable commands bank
+    settled cells in the on-disk result store, so re-running the same
+    command resumes.
     """
 
     def __init__(

@@ -1,14 +1,9 @@
 """Simulation engine: machines, the run loop, results, runners, sweeps,
 supervised parallel fan-out, the content-addressed result store with its
-deduplicating grid planner, and crash-safe multi-run campaigns."""
+deduplicating grid planner, and declarative multi-stage campaign plans.
+Settled cells live in the result store; resuming an interrupted run
+means running it again against the same store directory."""
 
-from .campaign import (
-    CampaignPoint,
-    CampaignResult,
-    CampaignSpec,
-    load_checkpoint,
-    run_campaign,
-)
 from .export import report_to_dict, result_to_dict, result_to_json
 from .engine import (
     ACCESSES_ENV_VAR,
@@ -36,7 +31,6 @@ from .planfile import (
     parse_plan,
     parse_plan_source,
     run_plan,
-    stage_fingerprints,
     write_export,
     write_status,
 )
@@ -46,10 +40,7 @@ from .plan import (
     PlannedExperiment,
     build_grid_plan,
     execute_grid_plan,
-    load_resume_manifest,
     run_jobs_cached,
-    seed_store_from_manifest,
-    write_resume_manifest,
 )
 from .request import MemoryRequest
 from .result_store import (
@@ -57,6 +48,7 @@ from .result_store import (
     cell_fingerprint,
     clear_default_result_store,
     default_result_store,
+    durable_result_store,
     job_fingerprint,
     result_store_disabled,
     use_result_store,
@@ -80,9 +72,6 @@ from .sweep import SweepPoint, sweep_org_parameter, sweep_system
 __all__ = [
     "ACCESSES_ENV_VAR",
     "CampaignPlan",
-    "CampaignPoint",
-    "CampaignResult",
-    "CampaignSpec",
     "DEFAULT_ACCESSES_PER_CONTEXT",
     "GridPlan",
     "GridRunReport",
@@ -112,15 +101,14 @@ __all__ = [
     "current_supervision",
     "default_accesses_per_context",
     "default_result_store",
+    "durable_result_store",
     "derive_seed",
     "escalate_kill",
     "execute_grid_plan",
     "is_retryable_exception",
     "job_fingerprint",
     "journal_from_env",
-    "load_checkpoint",
     "load_plan",
-    "load_resume_manifest",
     "load_status",
     "parse_plan",
     "parse_plan_source",
@@ -130,7 +118,6 @@ __all__ = [
     "result_store_disabled",
     "result_to_dict",
     "result_to_json",
-    "run_campaign",
     "run_configs",
     "run_jobs_cached",
     "run_many",
@@ -138,13 +125,10 @@ __all__ = [
     "run_plan",
     "run_trace",
     "run_workload",
-    "seed_store_from_manifest",
-    "stage_fingerprints",
     "sweep_org_parameter",
     "sweep_system",
     "use_result_store",
     "use_supervision",
     "write_export",
-    "write_resume_manifest",
     "write_status",
 ]

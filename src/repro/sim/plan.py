@@ -26,22 +26,13 @@ Three layers use this module:
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..errors import InterruptedRunError, ReproError
+from ..errors import InterruptedRunError
 from .parallel import JobOutcome, SimJob, raise_on_failures, run_many
-from .result_store import (
-    ResultStore,
-    default_result_store,
-    job_fingerprint,
-    result_from_state,
-    result_to_state,
-)
+from .result_store import default_result_store, job_fingerprint
 from .results import RunResult
 from .supervisor import IncidentJournal
 
@@ -288,8 +279,9 @@ def execute_grid_plan(
     fails every experiment that needs it, reported all at once. The
     supervision knobs pass straight through to the worker pool; on
     SIGINT/SIGTERM the :class:`~repro.errors.InterruptedRunError`
-    propagates with per-job outcomes for the full concatenated grid
-    (``repro paper`` turns those into a resume manifest).
+    propagates with per-job outcomes for the full concatenated grid;
+    every settled cell is already in the result store, so executing the
+    same plan again serves it.
     """
     all_jobs: List[SimJob] = []
     for experiment in plan.experiments:
@@ -322,147 +314,3 @@ def execute_grid_plan(
             experiment.assemble([outcome.result for outcome in span])
         )
     return report
-
-
-# -- Resume manifests ------------------------------------------------------------
-#
-# The default result store is in-memory, so an interrupted `repro paper`
-# would lose its settled cells the moment the process exits. The resume
-# manifest makes the store's relevant slice durable: every completed
-# cell's RunResult rides inside the manifest (keyed by its store
-# fingerprint), and `repro paper --resume <manifest>` seeds the store
-# from it before planning — the planner then serves those cells as hits
-# and simulates only what is missing.
-
-RESUME_MANIFEST_KIND = "repro-resume-manifest"
-RESUME_MANIFEST_VERSION = 1
-
-
-def write_resume_manifest(
-    path: str,
-    outcomes: Sequence[Optional[JobOutcome]],
-    signal_name: str,
-    recipe: Optional[Dict] = None,
-    pending_keys: Sequence[str] = (),
-) -> int:
-    """Atomically persist every completed outcome; returns cells saved.
-
-    ``outcomes`` is the (possibly partial) per-job list off an
-    :class:`~repro.errors.InterruptedRunError` — ``None`` entries and
-    failed cells are skipped; duplicates of one fingerprint collapse.
-    ``recipe`` records how the grid was invoked (experiment names,
-    trace length, seed) purely as operator documentation: the manifest
-    is self-validating through fingerprints, so resuming with different
-    arguments is safe — unknown fingerprints are simply never served.
-    """
-    completed: Dict[str, Dict] = {}
-    for outcome in outcomes:
-        if outcome is None or not outcome.ok:
-            continue
-        fingerprint = job_fingerprint(outcome.job)
-        if fingerprint is None:  # uncacheable cells cannot be resumed from
-            continue
-        if fingerprint not in completed:
-            completed[fingerprint] = result_to_state(outcome.result)
-    payload = {
-        "kind": RESUME_MANIFEST_KIND,
-        "version": RESUME_MANIFEST_VERSION,
-        "signal": signal_name,
-        "recipe": recipe or {},
-        "completed": completed,
-        "pending": list(pending_keys),
-    }
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fp:
-            json.dump(payload, fp, indent=2, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-    return len(completed)
-
-
-#: Exactly the keys :func:`write_resume_manifest` emits; a manifest with
-#: more or fewer keys was written by something else and is rejected.
-_MANIFEST_KEYS = ("kind", "version", "signal", "recipe", "completed", "pending")
-
-
-def load_resume_manifest(path: str) -> Dict:
-    """Read and validate a resume manifest written by this module.
-
-    Raises :class:`~repro.errors.PlanError` for a missing file, corrupt
-    JSON, the wrong kind of file, an incompatible version, or a key
-    structure this module never wrote (hand-edited or foreign files) —
-    a resume must never silently start over, and a malformed manifest
-    must fail as a named error, not a mid-run ``KeyError``.
-    """
-    from ..errors import PlanError
-
-    try:
-        with open(path) as fp:
-            payload = json.load(fp)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PlanError(f"unreadable resume manifest {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("kind") != RESUME_MANIFEST_KIND:
-        raise PlanError(
-            f"{path} is not a resume manifest (expected kind="
-            f"{RESUME_MANIFEST_KIND!r})"
-        )
-    if payload.get("version") != RESUME_MANIFEST_VERSION:
-        raise PlanError(
-            f"resume manifest {path} has version {payload.get('version')}, "
-            f"expected {RESUME_MANIFEST_VERSION}"
-        )
-    unknown = sorted(set(payload) - set(_MANIFEST_KEYS))
-    if unknown:
-        raise PlanError(
-            f"resume manifest {path} has unknown key(s) {', '.join(unknown)}"
-        )
-    missing = sorted(set(_MANIFEST_KEYS) - set(payload))
-    if missing:
-        raise PlanError(
-            f"resume manifest {path} is missing key(s) {', '.join(missing)}"
-        )
-    if not isinstance(payload["signal"], str):
-        raise PlanError(f"resume manifest {path}: 'signal' must be a string")
-    if not isinstance(payload["recipe"], dict):
-        raise PlanError(f"resume manifest {path}: 'recipe' must be a mapping")
-    completed = payload["completed"]
-    if not isinstance(completed, dict) or not all(
-        isinstance(key, str) and isinstance(state, dict)
-        for key, state in completed.items()
-    ):
-        raise PlanError(
-            f"resume manifest {path}: 'completed' must map fingerprints to "
-            "result states"
-        )
-    pending = payload["pending"]
-    if not isinstance(pending, list) or not all(
-        isinstance(key, str) for key in pending
-    ):
-        raise PlanError(
-            f"resume manifest {path}: 'pending' must be a list of cell keys"
-        )
-    return payload
-
-
-def seed_store_from_manifest(manifest: Dict, store: ResultStore) -> int:
-    """Decode every manifest cell into ``store``; returns cells seeded.
-
-    A cell whose saved state no longer decodes (hand-edited manifest,
-    schema drift in a field) is skipped rather than trusted — the
-    planner will simply re-simulate it.
-    """
-    seeded = 0
-    for fingerprint, state in manifest.get("completed", {}).items():
-        try:
-            result = result_from_state(state)
-        except Exception:
-            continue
-        store.put(fingerprint, result)
-        seeded += 1
-    return seeded

@@ -1,4 +1,4 @@
-"""Declarative campaign plans: versioned schema, failure policy, resume.
+"""Declarative campaign plans: versioned schema, failure policy, stages.
 
 Campaigns used to be constructed in Python, so retry/timeout/abort
 behavior was hard-wired per call site and a third-party scenario meant
@@ -38,26 +38,23 @@ Robustness contract:
   ``timeout_seconds``, ``hang_timeout``, an RSS ceiling, and an
   ``on_failure`` propagation mode (``abort`` stops the plan,
   ``continue`` runs the rest, ``skip-dependents`` runs everything that
-  does not depend on the failed stage), mapped onto the PR 5
+  does not depend on the failed stage), mapped onto the
   :class:`~repro.sim.supervisor.SupervisorPolicy` (enforced in pool
   mode, ``--jobs >= 2``; the serial path stays byte-identical to a
   plain loop and does not retry);
-* **interrupt-safe resume** — an atomic status JSON records per-stage
-  state/attempts/incidents *and* every completed cell's full result, so
-  ``--resume`` after SIGINT (or a crash) replays finished work from the
-  result store and simulates only what is missing — final results are
-  byte-identical to an uninterrupted run;
-* **safe plan modification between resumes** — every stage carries a
-  content fingerprint over its work-defining inputs (grids, seeds,
-  trace *content* checksums, and — transitively — its dependencies);
-  editing a stage invalidates it and its dependents, while untouched
-  stages keep replaying from the store. Failure-policy edits change no
-  fingerprint: retry harder without resimulating.
+* **resume is a re-run** — every settled cell is in the result store
+  the moment it finishes (``repro plan run`` makes the store durable),
+  so running an interrupted plan again serves finished cells and
+  simulates only what is missing; final results are byte-identical to
+  an uninterrupted run. Cells are content-addressed, so an edited stage
+  simulates its new cells while untouched work — in any stage — is
+  served, and failure-policy or endpoint edits resimulate nothing. The
+  atomic status file is only the per-stage record ``repro plan status``
+  reads.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -68,20 +65,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import InterruptedRunError, PlanError, PlanExecutionError
 from ..workloads.ingest import DEFAULT_ERROR_BUDGET
 from .parallel import JobOutcome, SimJob
-from .result_store import (
-    ResultStore,
-    default_result_store,
-    job_fingerprint,
-    result_from_state,
-    result_to_state,
-    use_result_store,
-)
+from .result_store import result_to_state
 from .supervisor import IncidentJournal, SupervisorPolicy, use_supervision
 
 PLAN_KIND = "repro-campaign-plan"
 PLAN_SCHEMA_VERSION = 1
 STATUS_KIND = "repro-plan-status"
-STATUS_VERSION = 1
+STATUS_VERSION = 2
 EXPORT_KIND = "repro-plan-export"
 EXPORT_VERSION = 1
 
@@ -384,7 +374,7 @@ class PlanStage:
     failure_policy: StageFailurePolicy = field(default_factory=StageFailurePolicy)
     #: ``host:port`` remote worker endpoints for this stage. Overrides
     #: any run-level endpoints; like the failure policy, *where* a stage
-    #: runs is excluded from its work fingerprint.
+    #: runs is no input of its cells, so moving it resimulates nothing.
     endpoints: Tuple[str, ...] = ()
 
 
@@ -866,90 +856,15 @@ def load_plan(path: str) -> CampaignPlan:
     return parse_plan(parse_plan_source(text, path), path)
 
 
-# -- Stage fingerprints ----------------------------------------------------------
-
-
-def _stage_work_key(stage: PlanStage) -> Dict[str, object]:
-    """Everything that defines a stage's *work* (not its failure policy).
-
-    For trace stages the trace file's declared content checksum is the
-    keyed value, so replacing the file's contents invalidates the stage
-    even when the path is unchanged — and renaming the file without
-    changing contents does not. Failure policy and endpoints are
-    deliberately excluded: retrying harder must not resimulate finished
-    work, and neither must moving the work to a different host.
-    """
-    if stage.grid is not None:
-        grid = stage.grid
-        key: Dict[str, object] = {
-            "kind": "grid",
-            "orgs": list(grid.orgs),
-            "workloads": list(grid.workloads),
-            "seeds": list(grid.seeds),
-            "accesses": grid.accesses,
-            "use_l3": grid.use_l3,
-            "scale_shift": grid.scale_shift,
-        }
-        if grid.trace is not None:
-            from ..errors import IngestError
-            from ..workloads.ingest import read_trace_header
-
-            try:
-                checksum = read_trace_header(grid.trace).checksum
-            except IngestError as exc:
-                # Unreadable now: key the failure mode so the stage
-                # re-runs (and re-fingerprints) once the file appears.
-                checksum = f"unreadable:{exc}"
-            key["trace"] = {
-                "checksum": checksum,
-                "error_budget": grid.error_budget,
-                "allow_synthetic_fallback": grid.allow_synthetic_fallback,
-                "fallback_workloads": list(grid.fallback_workloads),
-            }
-        return key
-    return {
-        "kind": "experiments",
-        "experiments": list(stage.experiments),
-        "accesses": stage.accesses,
-        "seed": stage.seed,
-    }
-
-
-def stage_fingerprints(plan: CampaignPlan) -> Dict[str, str]:
-    """Content fingerprints for every stage, dependency-transitive.
-
-    A stage's fingerprint covers its own work key plus the fingerprints
-    of its dependencies, so editing one stage changes the fingerprint of
-    everything downstream of it — which is exactly the set a resume must
-    invalidate.
-    """
-    fingerprints: Dict[str, str] = {}
-    for name in plan.execution_order():
-        stage = plan.stage(name)
-        key = {
-            "schema": PLAN_SCHEMA_VERSION,
-            "work": _stage_work_key(stage),
-            "deps": {dep: fingerprints[dep] for dep in sorted(stage.depends_on)},
-        }
-        blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-        fingerprints[name] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    return fingerprints
-
-
 # -- The atomic status file ------------------------------------------------------
 
-_STATUS_KEYS = ("kind", "version", "plan_name", "stages", "results")
-_STAGE_STATUS_KEYS = (
-    "state", "fingerprint", "attempts", "incidents", "cells_total",
-    "cells_failed",
-)
+_STATUS_KEYS = ("kind", "version", "plan_name", "stages")
+_STAGE_STATUS_KEYS = ("state", "incidents", "cells_total", "cells_failed")
 
 
-def _fresh_stage_status(fingerprint: str) -> Dict[str, object]:
+def _fresh_stage_status() -> Dict[str, object]:
     return {
         "state": "pending",
-        "fingerprint": fingerprint,
-        "attempts": 0,
         "incidents": [],
         "cells_total": 0,
         "cells_failed": 0,
@@ -975,8 +890,8 @@ def load_status(path: str) -> Dict:
     """Read and strictly validate a status file written by :func:`run_plan`.
 
     Unknown keys, missing keys, bad types, or unknown stage states raise
-    :class:`~repro.errors.PlanError` — a resume must never guess at a
-    half-understood status file.
+    :class:`~repro.errors.PlanError` — ``repro plan status`` must never
+    guess at a half-understood status file.
     """
     try:
         with open(path) as fp:
@@ -1003,24 +918,13 @@ def load_status(path: str) -> Dict:
         _require_keys(entry, _STAGE_STATUS_KEYS, _STAGE_STATUS_KEYS, where)
         if entry["state"] not in STAGE_STATES:
             raise PlanError(f"{where}: unknown state {entry['state']!r}")
-        if not isinstance(entry["fingerprint"], str):
-            raise PlanError(f"{where}: 'fingerprint' must be a string")
-        for key in ("attempts", "cells_total", "cells_failed"):
+        for key in ("cells_total", "cells_failed"):
             if not isinstance(entry[key], int) or isinstance(entry[key], bool):
                 raise PlanError(f"{where}: {key!r} must be an integer")
         if not isinstance(entry["incidents"], list) or not all(
             isinstance(item, str) for item in entry["incidents"]
         ):
             raise PlanError(f"{where}: 'incidents' must be a list of strings")
-    results = payload["results"]
-    if not isinstance(results, dict) or not all(
-        isinstance(key, str) and isinstance(state, dict)
-        for key, state in results.items()
-    ):
-        raise PlanError(
-            f"plan status {path}: 'results' must map cell fingerprints to "
-            "result states"
-        )
     return payload
 
 
@@ -1041,17 +945,13 @@ def describe_status(status: Dict) -> str:
         rows.append([
             name,
             entry["state"],
-            entry["attempts"],
             cells,
             incidents[-1] if incidents else "",
         ])
     return format_table(
-        ["stage", "state", "attempts", "cells ok", "last incident"],
+        ["stage", "state", "cells ok", "last incident"],
         rows,
-        title=(
-            f"Plan {status['plan_name']!r}: "
-            f"{len(status['results'])} completed cell(s) in the store"
-        ),
+        title=f"Plan {status['plan_name']!r}: {len(rows)} stage(s)",
     )
 
 
@@ -1169,21 +1069,6 @@ def _build_stage_jobs(
     ]
 
 
-def _harvest(
-    outcomes: Sequence[Optional[JobOutcome]], results: Dict[str, Dict]
-) -> int:
-    """Fold settled, cacheable results into the status ``results`` map."""
-    saved = 0
-    for outcome in outcomes:
-        if outcome is None or not outcome.ok:
-            continue
-        fingerprint = job_fingerprint(outcome.job)
-        if fingerprint is not None and fingerprint not in results:
-            results[fingerprint] = result_to_state(outcome.result)
-            saved += 1
-    return saved
-
-
 def _record_incidents(entry: Dict, new_incidents: Sequence[str]) -> None:
     entry["incidents"] = (
         list(entry["incidents"]) + list(new_incidents)
@@ -1192,228 +1077,150 @@ def _record_incidents(entry: Dict, new_incidents: Sequence[str]) -> None:
 
 def run_plan(
     plan: CampaignPlan,
-    status_path: str,
+    status_path: Optional[str] = None,
     n_jobs: Optional[int] = 1,
     log: Optional[Callable[[str], None]] = None,
     journal: Optional[IncidentJournal] = None,
-    resume: bool = False,
     export_path: Optional[str] = None,
     dispatch: Optional[str] = None,
     endpoints: Optional[Sequence[str]] = None,
 ) -> PlanRunReport:
-    """Execute (or resume) a validated plan; returns the run report.
+    """Execute a validated plan; returns the run report.
 
     Every non-skipped stage executes in dependency order through
     :func:`repro.sim.plan.run_jobs_cached` under its own ambient
     :class:`~repro.sim.supervisor.SupervisorPolicy`; cells already held
-    by the result store (including everything a previous interrupted
-    invocation banked in the status file) are served without
-    simulating, which is what makes a resumed run byte-identical to an
-    uninterrupted one. The status file is rewritten atomically after
-    every stage transition, so killing this function at any moment
-    loses at most the in-flight stage's unfinished cells.
+    by the result store are served without simulating. Under a durable
+    store (:func:`~repro.sim.result_store.durable_result_store`) that is
+    the resume: running an interrupted plan again simulates only the
+    cells that had not settled, and its results and export are
+    byte-identical to an uninterrupted run. The status file at
+    ``status_path`` (none when ``None``) is rewritten atomically after
+    every stage transition.
 
     Raises:
         PlanExecutionError: a stage failed under ``on_failure: abort``
             (the status file already records the failure).
         InterruptedRunError: SIGINT/SIGTERM stopped the run; settled
-            cells are already banked in the status file for ``--resume``.
+            cells are already in the result store.
     """
     from .plan import run_jobs_cached
 
     emit = log if log is not None else (lambda message: None)
-    fingerprints = stage_fingerprints(plan)
     order = plan.execution_order()
-
-    results: Dict[str, Dict] = {}
-    stage_status: Dict[str, Dict] = {}
-    if resume:
-        previous = load_status(status_path)
-        if previous["plan_name"] != plan.name:
-            raise PlanError(
-                f"status file {status_path} belongs to plan "
-                f"{previous['plan_name']!r}, not {plan.name!r}; use a fresh "
-                "--status path"
-            )
-        results = dict(previous["results"])
-        invalidated: List[str] = []
-        for name in order:
-            entry = previous["stages"].get(name)
-            if entry is not None and entry["fingerprint"] == fingerprints[name]:
-                stage_status[name] = dict(entry)
-                stage_status[name]["incidents"] = list(entry["incidents"])
-            else:
-                stage_status[name] = _fresh_stage_status(fingerprints[name])
-                if entry is not None:
-                    invalidated.append(name)
-        if invalidated:
-            emit(
-                "plan changed since the last run; invalidated stage(s): "
-                + ", ".join(invalidated)
-            )
-        emit(
-            f"resume: {len(results)} completed cell(s) banked in "
-            f"{status_path}"
-        )
-    else:
-        stage_status = {
-            name: _fresh_stage_status(fingerprints[name]) for name in order
-        }
-
+    stage_status = {name: _fresh_stage_status() for name in order}
     status: Dict = {
         "kind": STATUS_KIND,
         "version": STATUS_VERSION,
         "plan_name": plan.name,
         "stages": stage_status,
-        "results": results,
     }
-    # Every stage re-executes below — cells finished earlier are store
-    # hits, and re-running (rather than trusting recorded states) is
-    # what guarantees the final status and export cover the whole plan,
-    # that previously-failed stages get retried, and that a stage
-    # skipped last time runs once its dependency recovers.
-    for name in order:
-        stage_status[name]["state"] = "pending"
-    write_status(status_path, status)
 
-    store = default_result_store()
-    own_store = store is None
-    store_ctx = use_result_store(ResultStore()) if own_store else _null_ctx()
+    def save() -> None:
+        if status_path is not None:
+            write_status(status_path, status)
+
+    save()
     report = PlanRunReport(plan=plan, status=status)
-    failed_with_skip: List[str] = []
-
-    with store_ctx as maybe_store:
-        active_store = maybe_store if own_store else store
-        seeded = 0
-        for fingerprint, state in results.items():
-            try:
-                active_store.put(fingerprint, result_from_state(state))
-                seeded += 1
-            except Exception:
-                continue  # undecodable banked cell: simulate it again
-        if seeded:
-            emit(f"seeded the result store with {seeded} banked cell(s)")
-        for name in order:
-            stage = plan.stage(name)
-            entry = stage_status[name]
-            blocked_by = [
-                dep
-                for dep in stage.depends_on
-                if stage_status[dep]["state"] in ("failed", "interrupted", "skipped")
-                and (
-                    stage_status[dep]["state"] == "skipped"
-                    or plan.stage(dep).failure_policy.on_failure
-                    == "skip-dependents"
-                )
-            ]
-            if blocked_by:
-                entry["state"] = "skipped"
-                _record_incidents(
-                    entry,
-                    [f"skipped: dependency {dep} did not complete"
-                     for dep in blocked_by],
-                )
-                emit(f"stage {name}: skipped ({', '.join(blocked_by)} failed)")
-                write_status(status_path, status)
-                continue
-            entry["state"] = "running"
-            write_status(status_path, status)
-            emit(f"stage {name}: starting")
-            incidents: List[str] = []
-            try:
-                jobs = _build_stage_jobs(stage, incidents, emit)
-            except Exception as exc:
-                entry["state"] = "failed"
-                incidents.append(f"stage setup failed: {exc}")
-                _record_incidents(entry, incidents)
-                write_status(status_path, status)
-                if stage.failure_policy.on_failure == "abort":
-                    raise PlanExecutionError(
-                        f"plan {plan.name}: stage {name!r} failed during "
-                        f"setup and its policy is abort: {exc}",
-                        stage=name,
-                    ) from exc
-                if stage.failure_policy.on_failure == "skip-dependents":
-                    failed_with_skip.append(name)
-                emit(f"stage {name}: failed during setup ({exc}); continuing")
-                continue
-            entry["cells_total"] = len(jobs)
-            policy = stage.failure_policy.supervisor_policy()
-            try:
-                with use_supervision(policy):
-                    outcomes = run_jobs_cached(
-                        jobs, n_jobs=n_jobs, log=log, journal=journal,
-                        dispatch=dispatch,
-                        endpoints=(
-                            stage.endpoints if stage.endpoints else endpoints
-                        ),
-                    )
-            except InterruptedRunError as exc:
-                settled = exc.outcomes or []
-                banked = _harvest(settled, results)
-                entry["state"] = "interrupted"
-                incidents.append(
-                    f"interrupted by {exc.signal_name} with "
-                    f"{len(exc.pending_keys)} cell(s) pending"
-                )
-                _record_incidents(entry, incidents)
-                write_status(status_path, status)
-                emit(
-                    f"stage {name}: interrupted; banked {banked} settled "
-                    f"cell(s) for --resume"
-                )
-                raise
-            if any(not outcome.cached for outcome in outcomes):
-                entry["attempts"] = entry["attempts"] + 1
-            _harvest(outcomes, results)
-            report.outcomes[name] = list(outcomes)
-            failures = [outcome for outcome in outcomes if not outcome.ok]
-            entry["cells_failed"] = len(failures)
-            for outcome in failures[:8]:
-                incidents.append(f"cell {outcome.job.key}: {outcome.error}")
-            if len(failures) > 8:
-                incidents.append(f"... and {len(failures) - 8} more failed cell(s)")
-            if failures:
-                entry["state"] = "failed"
-                _record_incidents(entry, incidents)
-                write_status(status_path, status)
-                mode = stage.failure_policy.on_failure
-                emit(
-                    f"stage {name}: {len(failures)}/{len(jobs)} cell(s) "
-                    f"failed (on_failure: {mode})"
-                )
-                if mode == "abort":
-                    raise PlanExecutionError(
-                        f"plan {plan.name}: stage {name!r} failed "
-                        f"({len(failures)} of {len(jobs)} cells) and its "
-                        "policy is abort; see the status file for incidents",
-                        stage=name,
-                    )
-                if mode == "skip-dependents":
-                    failed_with_skip.append(name)
-                continue
-            entry["state"] = "completed"
-            _record_incidents(entry, incidents)
-            write_status(status_path, status)
-            served = sum(1 for outcome in outcomes if outcome.cached)
-            emit(
-                f"stage {name}: completed ({len(jobs)} cell(s), "
-                f"{served} served from the store)"
+    for name in order:
+        stage = plan.stage(name)
+        entry = stage_status[name]
+        blocked_by = [
+            dep
+            for dep in stage.depends_on
+            if stage_status[dep]["state"] in ("failed", "interrupted", "skipped")
+            and (
+                stage_status[dep]["state"] == "skipped"
+                or plan.stage(dep).failure_policy.on_failure
+                == "skip-dependents"
             )
+        ]
+        if blocked_by:
+            entry["state"] = "skipped"
+            _record_incidents(
+                entry,
+                [f"skipped: dependency {dep} did not complete"
+                 for dep in blocked_by],
+            )
+            emit(f"stage {name}: skipped ({', '.join(blocked_by)} failed)")
+            save()
+            continue
+        entry["state"] = "running"
+        save()
+        emit(f"stage {name}: starting")
+        incidents: List[str] = []
+        try:
+            jobs = _build_stage_jobs(stage, incidents, emit)
+        except Exception as exc:
+            entry["state"] = "failed"
+            incidents.append(f"stage setup failed: {exc}")
+            _record_incidents(entry, incidents)
+            save()
+            if stage.failure_policy.on_failure == "abort":
+                raise PlanExecutionError(
+                    f"plan {plan.name}: stage {name!r} failed during "
+                    f"setup and its policy is abort: {exc}",
+                    stage=name,
+                ) from exc
+            emit(f"stage {name}: failed during setup ({exc}); continuing")
+            continue
+        entry["cells_total"] = len(jobs)
+        policy = stage.failure_policy.supervisor_policy()
+        try:
+            with use_supervision(policy):
+                outcomes = run_jobs_cached(
+                    jobs, n_jobs=n_jobs, log=log, journal=journal,
+                    dispatch=dispatch,
+                    endpoints=(
+                        stage.endpoints if stage.endpoints else endpoints
+                    ),
+                )
+        except InterruptedRunError as exc:
+            entry["state"] = "interrupted"
+            incidents.append(
+                f"interrupted by {exc.signal_name} with "
+                f"{len(exc.pending_keys)} cell(s) pending"
+            )
+            _record_incidents(entry, incidents)
+            save()
+            raise
+        report.outcomes[name] = list(outcomes)
+        failures = [outcome for outcome in outcomes if not outcome.ok]
+        entry["cells_failed"] = len(failures)
+        for outcome in failures[:8]:
+            incidents.append(f"cell {outcome.job.key}: {outcome.error}")
+        if len(failures) > 8:
+            incidents.append(f"... and {len(failures) - 8} more failed cell(s)")
+        if failures:
+            entry["state"] = "failed"
+            _record_incidents(entry, incidents)
+            save()
+            mode = stage.failure_policy.on_failure
+            emit(
+                f"stage {name}: {len(failures)}/{len(jobs)} cell(s) "
+                f"failed (on_failure: {mode})"
+            )
+            if mode == "abort":
+                raise PlanExecutionError(
+                    f"plan {plan.name}: stage {name!r} failed "
+                    f"({len(failures)} of {len(jobs)} cells) and its "
+                    "policy is abort; see the status file for incidents",
+                    stage=name,
+                )
+            continue
+        entry["state"] = "completed"
+        _record_incidents(entry, incidents)
+        save()
+        served = sum(1 for outcome in outcomes if outcome.cached)
+        emit(
+            f"stage {name}: completed ({len(jobs)} cell(s), "
+            f"{served} served from the store)"
+        )
 
     if export_path is not None:
         write_export(export_path, report)
         emit(f"exported results to {export_path}")
     return report
-
-
-@dataclass
-class _null_ctx:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc_info):
-        return False
 
 
 def write_export(path: str, report: PlanRunReport) -> None:

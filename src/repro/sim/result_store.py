@@ -29,17 +29,24 @@ fingerprint and simulated once:
   destination directory + ``os.replace``) so any number of concurrent
   writers — parallel workers, or whole other hosts — can race on the
   same fingerprint and readers only ever see a complete entry. Corrupt,
-  truncated, or stale-schema files are treated as misses and
-  regenerated, never trusted.
+  truncated, stale-schema, or stale-code files are treated as misses
+  and regenerated, never trusted.
+* **code digest** — every entry is stamped with :func:`code_digest`, a
+  sha256 over the package source. The key covers a cell's *inputs*;
+  the digest covers the code that turned them into a result, so an
+  edited simulator never serves numbers the old one produced.
 
 The mode is selected by ``REPRO_RESULT_CACHE``: ``memory`` (the
 default), ``disk`` (memory + local-dir), ``shared`` (memory +
 shared-dir — point ``REPRO_RESULT_CACHE_DIR`` at the mounted
-directory, and any host can resume a campaign another host started),
-or ``off`` (every run simulates, the pre-store behavior). Cells whose
-``org_kwargs`` hold values with no canonical encoding (e.g. a live
-predictor object) have no fingerprint and always simulate — the store
-refuses to guess at object state.
+directory, and any host can resume a run another host started),
+or ``off`` (every run simulates, the pre-store behavior). Resumable
+commands wrap themselves in :func:`durable_result_store`, which gives
+the default ``memory`` mode a local-dir layer: every settled cell is
+on disk, and re-running an interrupted command is its resume. Cells
+whose ``org_kwargs`` hold values with no canonical encoding (e.g. a
+live predictor object) have no fingerprint and always simulate — the
+store refuses to guess at object state.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional
 
 from ..core.llp import LlpCaseStats
-from ..errors import ConfigurationError, EnvKnobError
+from ..errors import ConfigurationError, EnvKnobError, InterruptedRunError
 from .results import RunProvenance, RunResult
 
 #: Mode knob: "memory" (default), "disk", "shared", or "off".
@@ -311,10 +318,40 @@ def result_from_state(state: Dict) -> RunResult:
     )
 
 
+_code_digest: Optional[str] = None
+
+
+def code_digest() -> str:
+    """sha256 over the package's ``.py`` files and the C kernel source.
+
+    Files are hashed in sorted relative-path order, each as its path
+    plus its bytes, so moving code between modules changes the digest
+    too. Computed once per process (a few milliseconds).
+    """
+    global _code_digest
+    if _code_digest is None:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        paths = []
+        for directory, _, names in os.walk(root):
+            paths.extend(
+                os.path.relpath(os.path.join(directory, name), root)
+                for name in names
+                if name.endswith(".py") or name == "_vector_kernel.c"
+            )
+        digest = hashlib.sha256()
+        for path in sorted(paths):
+            digest.update(path.encode("utf-8") + b"\0")
+            with open(os.path.join(root, path), "rb") as fp:
+                digest.update(fp.read())
+        _code_digest = digest.hexdigest()
+    return _code_digest
+
+
 def _encode_entry(fingerprint: str, result: RunResult) -> bytes:
     payload = {
         "kind": _KIND,
         "schema": RESULT_STORE_SCHEMA_VERSION,
+        "code": code_digest(),
         "fingerprint": fingerprint,
         "result": result_to_state(result),
     }
@@ -331,6 +368,7 @@ def _decode_entry(payload: bytes, fingerprint: str) -> Optional[RunResult]:
             not isinstance(data, dict)
             or data.get("kind") != _KIND
             or data.get("schema") != RESULT_STORE_SCHEMA_VERSION
+            or data.get("code") != code_digest()
             or data.get("fingerprint") != fingerprint
         ):
             return None
@@ -501,32 +539,17 @@ class ResultStoreStats:
 
 
 class ResultStore:
-    """LRU of encoded run results, optionally backed by a :class:`StoreBackend`.
-
-    ``disk_dir`` is the back-compatible spelling of "local-dir backend
-    at this path"; pass ``backend`` for anything else (they are
-    mutually exclusive).
-    """
+    """LRU of encoded run results, optionally backed by a :class:`StoreBackend`."""
 
     def __init__(
         self,
         max_entries: int = DEFAULT_MAX_ENTRIES,
-        disk_dir: Optional[str] = None,
         backend: Optional[StoreBackend] = None,
     ):
         if max_entries <= 0:
             raise ConfigurationError("result store needs at least one entry")
-        if disk_dir and backend is not None:
-            raise ConfigurationError(
-                "pass either disk_dir or backend, not both"
-            )
         self.max_entries = max_entries
-        if backend is None and disk_dir:
-            backend = LocalDirBackend(disk_dir)
         self.backend = backend
-        #: The backing directory when the backend has one (kept for
-        #: callers that predate the backend split), else None.
-        self.disk_dir = getattr(backend, "directory", None)
         self.stats = ResultStoreStats()
         self._entries: "OrderedDict[str, bytes]" = OrderedDict()
 
@@ -557,9 +580,10 @@ class ResultStore:
                     self.stats.disk_hits += 1
                     self._remember(fingerprint, payload)
                     return result
-                # Corrupt/truncated/stale-schema entry (e.g. a reader
-                # racing a non-atomic copy into a shared mount):
-                # regenerate, never trust.
+                # Corrupt/truncated/stale-schema/stale-code entry (e.g.
+                # a reader racing a non-atomic copy into a shared mount,
+                # or a cell the edited simulator would compute
+                # differently): regenerate, never trust.
                 self.backend.discard(fingerprint)
         self.stats.misses += 1
         return None
@@ -682,3 +706,36 @@ def use_result_store(
         yield store
     finally:
         _store_override = previous
+
+
+@contextlib.contextmanager
+def durable_result_store() -> Iterator[Optional[ResultStore]]:
+    """Make the default store persistent for one resumable command.
+
+    In the default ``memory`` mode this installs a store with a
+    :class:`LocalDirBackend` at :func:`default_results_dir`, so every
+    settled cell reaches disk the moment it finishes and running the
+    same command again serves it instead of simulating. ``disk`` and
+    ``shared`` modes already persist and keep their backend; ``off``
+    (or ``--no-result-cache``) banks nothing and serves nothing.
+
+    An interrupt raised inside names the store directory, so the one
+    resume instruction is "re-run the same command".
+    """
+    store = default_result_store()
+    if store is not None and store.backend is None:
+        store = ResultStore(backend=LocalDirBackend(default_results_dir()))
+    with use_result_store(store):
+        try:
+            yield store
+        except InterruptedRunError as exc:
+            if store is None:
+                raise
+            raise InterruptedRunError(
+                f"{exc}; settled cells are in the result store "
+                f"({store.backend.describe()}): re-run the same command "
+                "to resume",
+                signal_name=exc.signal_name,
+                outcomes=exc.outcomes,
+                pending_keys=exc.pending_keys,
+            ) from None

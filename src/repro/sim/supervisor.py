@@ -1,10 +1,9 @@
 """One supervision core for every subprocess fan-out in this repo.
 
-The parallel grid (:mod:`repro.sim.parallel`) and the campaign runner
-(:mod:`repro.sim.campaign`) both farm deterministic simulations out to
-subprocess workers. Before this module each had a private — and
-different — answer to the same operational questions; now both share
-one :class:`Supervisor` that owns:
+Every grid — figures, ``repro paper``, plan stages, ``repro campaign``
+— farms deterministic simulations out to subprocess workers through
+:mod:`repro.sim.parallel`, and one :class:`Supervisor` answers the
+operational questions for all of them:
 
 * **heartbeats** — workers report progress (accesses simulated, via
   :func:`repro.sim.engine.set_progress_hook`) over the result pipe, so
@@ -25,7 +24,7 @@ one :class:`Supervisor` that owns:
   :class:`~repro.errors.InterruptedRunError` carrying the settled
   outcomes, after every completed cell has already been delivered to
   the caller's ``on_settle`` hook (which is what flushes results to
-  checkpoints and the result store);
+  the result store);
 * **graceful degradation** down a ladder of rungs — remote endpoints
   (when configured), then the local pool, then, when subprocess spawn
   fails repeatedly (sandboxed hosts without fork/spawn), the exact

@@ -39,3 +39,16 @@ def tiny_config() -> SystemConfig:
 def small_config() -> SystemConfig:
     """64 stacked pages + 192 off-chip pages — big enough for paging tests."""
     return make_config(stacked_pages=64)
+
+
+@pytest.fixture
+def result_store_dir(tmp_path, monkeypatch) -> str:
+    """Point ``REPRO_RESULT_CACHE_DIR`` at this test's tmp_path.
+
+    ``repro paper``, ``plan run`` and ``campaign`` persist settled cells
+    there; a per-test directory keeps tests out of ``~/.cache`` and
+    keeps one test from being served another test's cells.
+    """
+    path = str(tmp_path / "results")
+    monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", path)
+    return path

@@ -1,268 +1,319 @@
-"""Tests for the crash-safe campaign runner and its checkpoints."""
+"""Tests for ``repro campaign``: a one-stage plan over the on-disk store.
+
+The campaign grid (orgs x workloads x seeds) is validated and executed
+as a plan stage; its checkpoint is the result store, so resuming is
+running the same command again.
+"""
 
 import json
 import os
+import re
 
 import pytest
 
-from repro.errors import CampaignError
+from repro.cli import main
 from repro.faults import FaultConfig
-from repro.sim.campaign import (
-    CHECKPOINT_VERSION,
-    CampaignPoint,
-    CampaignSpec,
-    load_checkpoint,
-    run_campaign,
+from repro.sim.export import result_to_json
+from repro.sim.parallel import SimJob
+from repro.sim.plan import run_jobs_cached
+from repro.sim.result_store import (
+    LocalDirBackend,
+    ResultStore,
+    code_digest,
+    job_fingerprint,
+    use_result_store,
 )
 
+pytestmark = pytest.mark.usefixtures("result_store_dir")
+
 #: Small enough that one point simulates in milliseconds.
-TINY = dict(accesses_per_context=40, scale_shift=14)
+ARGV = [
+    "campaign", "--orgs", "baseline,cameo", "--workloads", "astar",
+    "--accesses", "40", "--scale-shift", "14",
+]
+POINTS = ["baseline/astar/s0", "cameo/astar/s0"]
 
 
-def tiny_spec(**overrides):
-    kwargs = dict(
-        organizations=("baseline", "cameo"),
-        workloads=("astar",),
-        seeds=(0,),
-        backoff_seconds=0.0,
-        **TINY,
+def campaign(capsys, *extra, argv=ARGV):
+    """Run ``repro campaign``; returns (exit code, stdout)."""
+    code = main(list(argv) + list(extra))
+    return code, capsys.readouterr().out
+
+
+def simulated(out):
+    return int(re.search(r"(\d+) cell\(s\) simulated", out).group(1))
+
+
+def entries(store_dir):
+    return sorted(
+        os.path.join(store_dir, name)
+        for name in os.listdir(store_dir)
+        if name.endswith(".result.json")
     )
-    kwargs.update(overrides)
-    return CampaignSpec(**kwargs)
+
+
+def fail_org(monkeypatch, org):
+    """Make every point of ``org`` raise inside the (serial) worker body."""
+    from repro.sim import parallel
+
+    real_run_job = parallel.run_job
+
+    def run_job(job):
+        if job.organization == org:
+            raise RuntimeError("injected point failure")
+        return real_run_job(job)
+
+    monkeypatch.setattr(parallel, "run_job", run_job)
 
 
 class TestCampaignPoint:
     def test_key_is_stable_and_readable(self):
-        point = CampaignPoint("cameo", "milc", seed=3)
-        assert point.key == "cameo/milc/s3"
+        assert SimJob("cameo", "milc", seed=3).key == "cameo/milc/s3"
 
 
 class TestCampaignSpec:
-    def test_points_cover_the_grid_in_order(self):
-        spec = tiny_spec(seeds=(0, 1))
-        keys = [p.key for p in spec.points()]
+    def test_points_cover_the_grid_in_order(self, capsys):
+        code, out = campaign(capsys, "--seeds", "0,1")
+        assert code == 0
+        keys = re.findall(r"^(\S+/astar/s\d)\s+ok", out, re.MULTILINE)
         assert keys == [
             "baseline/astar/s0", "baseline/astar/s1",
             "cameo/astar/s0", "cameo/astar/s1",
         ]
-        assert spec.total_points == 4
+        assert "4/4 points complete" in out
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(CampaignError):
-            tiny_spec(organizations=())
-        with pytest.raises(CampaignError):
-            tiny_spec(workloads=())
-        with pytest.raises(CampaignError):
-            tiny_spec(seeds=())
+        for flag in ("--orgs", "--workloads", "--seeds"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["campaign", flag, ","])
+            assert excinfo.value.code == 2
 
-    def test_bad_run_policy_rejected(self):
-        with pytest.raises(CampaignError):
-            tiny_spec(timeout_seconds=0.0)
-        with pytest.raises(CampaignError):
-            tiny_spec(max_attempts=0)
-        with pytest.raises(CampaignError):
-            tiny_spec(backoff_seconds=-1.0)
+    def test_bad_run_policy_rejected(self, capsys):
+        assert main(ARGV + ["--timeout", "0"]) == 2
+        assert "timeout_seconds must be positive" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(ARGV + ["--attempts", "0"])
+        assert excinfo.value.code == 2
 
-    def test_grid_dict_ignores_run_policy(self):
+    def test_grid_dict_ignores_run_policy(self, capsys):
         # Changing timeouts/retries between invocations must not
-        # invalidate an existing checkpoint.
-        a = tiny_spec(timeout_seconds=10.0, max_attempts=1)
-        b = tiny_spec(timeout_seconds=99.0, max_attempts=5)
-        assert a.grid_dict() == b.grid_dict()
+        # resimulate finished points.
+        assert campaign(capsys, "--timeout", "10", "--attempts", "1")[0] == 0
+        code, out = campaign(capsys, "--timeout", "99", "--attempts", "5")
+        assert code == 0
+        assert simulated(out) == 0
 
-    def test_grid_dict_tracks_simulation_inputs(self):
-        assert tiny_spec().grid_dict() != tiny_spec(seeds=(1,)).grid_dict()
-        assert (
-            tiny_spec().grid_dict()
-            != tiny_spec(fault_config=FaultConfig(transient_flip_rate=0.1)).grid_dict()
+    def test_grid_dict_tracks_simulation_inputs(self, capsys):
+        assert campaign(capsys)[0] == 0
+        code, out = campaign(capsys, "--seeds", "1")
+        assert code == 0
+        assert simulated(out) == 2
+        plain = SimJob("cameo", "astar", accesses_per_context=40)
+        faulty = SimJob(
+            "cameo", "astar", accesses_per_context=40,
+            fault_config=FaultConfig(transient_flip_rate=0.1),
         )
-
-    def test_grid_dict_is_json_serializable(self):
-        spec = tiny_spec(fault_config=FaultConfig(transient_flip_rate=0.1))
-        assert json.loads(json.dumps(spec.grid_dict())) == spec.grid_dict()
+        assert job_fingerprint(plain) != job_fingerprint(faulty)
 
 
 class TestCheckpointLoading:
-    def test_missing_file_is_a_fresh_campaign(self, tmp_path):
-        assert load_checkpoint(str(tmp_path / "none.json"), tiny_spec()) == {}
+    """The checkpoint is the store: entries that fail validation are
+    simulated again instead of trusted."""
 
-    def test_corrupt_json_rejected(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text("{not json")
-        with pytest.raises(CampaignError):
-            load_checkpoint(str(path), tiny_spec())
+    def test_missing_file_is_a_fresh_campaign(self, capsys, result_store_dir):
+        assert not os.path.exists(result_store_dir)
+        code, out = campaign(capsys)
+        assert code == 0
+        assert simulated(out) == 2
+        assert len(entries(result_store_dir)) == 2
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps({
-            "version": CHECKPOINT_VERSION + 1,
-            "spec": tiny_spec().grid_dict(),
-            "completed": {},
-        }))
-        with pytest.raises(CampaignError):
-            load_checkpoint(str(path), tiny_spec())
+    def test_different_grid_rejected(self, capsys):
+        """Another grid's points are never served for this grid's."""
+        assert campaign(capsys)[0] == 0
+        code, out = campaign(
+            capsys, argv=ARGV[:2] + ["cache,cameo"] + ARGV[3:]
+        )
+        assert code == 0
+        assert "1 cell(s) simulated, 1 served" in out
 
-    def test_different_grid_rejected(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps({
-            "version": CHECKPOINT_VERSION,
-            "spec": tiny_spec(seeds=(5,)).grid_dict(),
-            "completed": {},
-        }))
-        with pytest.raises(CampaignError):
-            load_checkpoint(str(path), tiny_spec())
+    def test_missing_keys_rejected_not_keyerror(
+        self, capsys, result_store_dir
+    ):
+        assert campaign(capsys)[0] == 0
+        first, _ = entries(result_store_dir)
+        with open(first, "w") as fp:
+            json.dump({"kind": "repro-run-result"}, fp)
+        code, out = campaign(capsys)
+        assert code == 0
+        assert simulated(out) == 1
 
-    def test_unknown_keys_rejected_as_named_error(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps({
-            "version": CHECKPOINT_VERSION,
-            "spec": tiny_spec().grid_dict(),
-            "completed": {},
-            "surprise": True,
-        }))
-        with pytest.raises(CampaignError, match="surprise"):
-            load_checkpoint(str(path), tiny_spec())
+    def test_completed_entries_missing_ipc_rejected_up_front(
+        self, capsys, result_store_dir
+    ):
+        # A drifted entry must miss at load time, not fail later as a
+        # KeyError while rendering the IPC column.
+        assert campaign(capsys)[0] == 0
+        first, _ = entries(result_store_dir)
+        with open(first) as fp:
+            payload = json.load(fp)
+        del payload["result"]["instructions"]
+        with open(first, "w") as fp:
+            json.dump(payload, fp)
+        code, out = campaign(capsys)
+        assert code == 0
+        assert simulated(out) == 1
+        assert "2/2 points complete" in out
 
-    def test_missing_keys_rejected_not_keyerror(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps({"version": CHECKPOINT_VERSION}))
-        with pytest.raises(CampaignError):
-            load_checkpoint(str(path), tiny_spec())
+    def test_corrupt_json_rejected(self, capsys, tmp_path, result_store_dir):
+        clean = str(tmp_path / "clean.json")
+        assert campaign(capsys, "--export", clean)[0] == 0
+        first, _ = entries(result_store_dir)
+        with open(first, "w") as fp:
+            fp.write("{not json")
+        again = str(tmp_path / "again.json")
+        code, out = campaign(capsys, "--export", again)
+        assert code == 0
+        assert simulated(out) == 1
+        with open(clean, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
 
-    def test_completed_entries_missing_ipc_rejected_up_front(self, tmp_path):
-        # A drifted entry must fail at load time as a CampaignError, not
-        # later as a KeyError inside CampaignResult.render().
-        path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps({
-            "version": CHECKPOINT_VERSION,
-            "spec": tiny_spec().grid_dict(),
-            "completed": {"baseline/astar/s0": {"cycles": 10}},
-            "failed": {},
-        }))
-        with pytest.raises(CampaignError, match="flattened run result"):
-            load_checkpoint(str(path), tiny_spec())
+    def test_version_mismatch_rejected(self, capsys, result_store_dir):
+        """An entry another build of the simulator wrote is regenerated."""
+        assert campaign(capsys)[0] == 0
+        for path in entries(result_store_dir):
+            with open(path) as fp:
+                payload = json.load(fp)
+            assert payload["code"] == code_digest()
+            payload["code"] = "an-older-build"
+            with open(path, "w") as fp:
+                json.dump(payload, fp)
+        code, out = campaign(capsys)
+        assert code == 0
+        assert simulated(out) == 2
 
 
 class TestRunCampaign:
-    def test_full_campaign_completes(self, tmp_path):
-        spec = tiny_spec()
-        path = str(tmp_path / "ckpt.json")
-        result = run_campaign(spec, path)
-        assert result.all_completed
-        assert not result.failed
-        assert sorted(result.executed_keys) == sorted(
-            p.key for p in spec.points()
-        )
-        for point in spec.points():
-            assert result.completed[point.key]["ipc"] > 0
-        # The checkpoint doubles as the machine-readable output.
-        assert load_checkpoint(path, spec) == result.completed
+    def test_full_campaign_completes(self, capsys, tmp_path):
+        export = str(tmp_path / "out.json")
+        code, out = campaign(capsys, "--export", export)
+        assert code == 0
+        assert "2/2 points complete" in out
+        assert simulated(out) == 2
+        # The export is the campaign's machine-readable output.
+        with open(export) as fp:
+            cells = json.load(fp)["stages"]["campaign"]["cells"]
+        assert sorted(cells) == POINTS
+        for state in cells.values():
+            assert state["instructions"] > 0
 
-    def test_resume_runs_only_incomplete_points(self, tmp_path):
-        spec = tiny_spec()
-        full_path = str(tmp_path / "full.json")
-        full = run_campaign(spec, full_path)
-
-        # Fabricate an interrupted campaign: the checkpoint knows about
-        # every point except one.
-        partial_path = str(tmp_path / "partial.json")
-        with open(full_path) as fp:
-            payload = json.load(fp)
-        missing = "cameo/astar/s0"
-        del payload["completed"][missing]
-        with open(partial_path, "w") as fp:
-            json.dump(payload, fp)
-
-        resumed = run_campaign(spec, partial_path)
-        assert resumed.executed_keys == [missing]
-        assert resumed.all_completed
+    def test_resume_runs_only_incomplete_points(
+        self, capsys, tmp_path, result_store_dir
+    ):
+        full = str(tmp_path / "full.json")
+        assert campaign(capsys, "--export", full)[0] == 0
+        # Fabricate an interrupted campaign: the store holds every point
+        # except one.
+        os.unlink(entries(result_store_dir)[0])
+        resumed = str(tmp_path / "resumed.json")
+        code, out = campaign(capsys, "--export", resumed)
+        assert code == 0
+        assert simulated(out) == 1
         # Merged output equals the uninterrupted run's.
-        assert resumed.completed == full.completed
+        with open(full, "rb") as a, open(resumed, "rb") as b:
+            assert a.read() == b.read()
 
-    def test_fully_complete_checkpoint_runs_nothing(self, tmp_path):
-        spec = tiny_spec()
-        path = str(tmp_path / "ckpt.json")
-        first = run_campaign(spec, path)
-        again = run_campaign(spec, path)
-        assert again.executed_keys == []
-        assert again.completed == first.completed
+    def test_fully_complete_checkpoint_runs_nothing(self, capsys):
+        code, first = campaign(capsys)
+        assert code == 0
+        code, again = campaign(capsys)
+        assert code == 0
+        assert simulated(again) == 0
+        table = first[first.index("Campaign:"):first.index("plan 'campaign'")]
+        assert table in again
 
     def test_fault_campaign_carries_counters(self, tmp_path):
-        spec = tiny_spec(
-            organizations=("cameo",),
+        job = SimJob(
+            "cameo", "astar", accesses_per_context=40,
             fault_config=FaultConfig(
                 transient_flip_rate=0.05, uncorrectable_fraction=0.5
             ),
         )
-        result = run_campaign(spec, str(tmp_path / "ckpt.json"))
-        assert result.all_completed
-        summary = result.completed["cameo/astar/s0"]["fault_summary"]
-        assert summary["transient_flips"] > 0
+        backend = LocalDirBackend(str(tmp_path))
+        with use_result_store(ResultStore(backend=backend)):
+            (fresh,) = run_jobs_cached([job])
+        with use_result_store(ResultStore(backend=backend)):
+            (served,) = run_jobs_cached([job])
+        assert fresh.ok and not fresh.cached
+        assert fresh.result.fault_summary["transient_flips"] > 0
+        # The counters survive the round trip through the disk store.
+        assert served.cached
+        assert result_to_json(served.result) == result_to_json(fresh.result)
 
-    def test_broken_point_fails_without_sinking_campaign(self, tmp_path):
-        spec = tiny_spec(
-            organizations=("baseline", "no-such-org"), max_attempts=1
-        )
-        path = str(tmp_path / "ckpt.json")
-        result = run_campaign(spec, path)
-        assert not result.all_completed
-        assert "baseline/astar/s0" in result.completed
-        assert "no-such-org/astar/s0" in result.failed
-        # The failure is recorded in the checkpoint too.
-        with open(path) as fp:
-            assert "no-such-org/astar/s0" in json.load(fp)["failed"]
+    def test_broken_point_fails_without_sinking_campaign(
+        self, capsys, monkeypatch
+    ):
+        fail_org(monkeypatch, "cameo")
+        code, out = campaign(capsys, "--attempts", "1")
+        assert code == 1
+        assert re.search(r"baseline/astar/s0\s+ok", out)
+        assert re.search(r"cameo/astar/s0\s+FAILED\s+RuntimeError", out)
+        assert "1/2 points complete" in out
 
-    def test_failed_points_get_fresh_budget_on_resume(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        bad = tiny_spec(organizations=("no-such-org",), max_attempts=1)
-        first = run_campaign(bad, path)
-        assert first.failed
-        # Same grid, new invocation: the failed point is attempted again
-        # (completed points would be skipped; failed ones are not sticky).
-        second = run_campaign(bad, path)
-        assert second.executed_keys == []
-        assert "no-such-org/astar/s0" in second.failed
+    def test_failed_points_get_fresh_budget_on_resume(
+        self, capsys, monkeypatch
+    ):
+        with monkeypatch.context() as patch:
+            fail_org(patch, "cameo")
+            assert campaign(capsys, "--attempts", "1")[0] == 1
+        # Failures are never banked: the re-run retries exactly them.
+        code, out = campaign(capsys)
+        assert code == 0
+        assert simulated(out) == 1
+        assert "2/2 points complete" in out
 
-    def test_hung_point_times_out_and_is_reported(self, tmp_path, monkeypatch):
+    def test_hung_point_times_out_and_is_reported(self, capsys, monkeypatch):
         # The full-size default run takes ~1s on the reference python
         # backend; a 0.2s budget kills it. Pin that backend — the point
         # of this test is the timeout machinery, and the vector engine
-        # finishes the same run before the budget expires.
+        # finishes the same run before the budget expires. Timeouts are
+        # enforced by the supervised pool, hence two workers.
         monkeypatch.setenv("REPRO_ENGINE", "python")
-        spec = tiny_spec(
-            organizations=("cameo",),
-            accesses_per_context=None,
-            scale_shift=12,
-            timeout_seconds=0.2,
-            max_attempts=1,
+        code, out = campaign(
+            capsys, "--timeout", "0.2", "--attempts", "1", "--workers", "2",
+            argv=["campaign", "--orgs", "cameo", "--workloads", "astar"],
         )
-        result = run_campaign(spec, str(tmp_path / "ckpt.json"))
-        assert not result.all_completed
-        assert "timeout" in result.failed["cameo/astar/s0"]
+        assert code == 1
+        assert re.search(r"cameo/astar/s0\s+FAILED\s+.*timeout", out)
 
-    def test_parallel_workers_match_serial_results(self, tmp_path):
-        spec = tiny_spec(seeds=(0, 1))
-        serial = run_campaign(spec, str(tmp_path / "serial.json"))
-        parallel = run_campaign(
-            spec, str(tmp_path / "parallel.json"), max_workers=4
+    def test_parallel_workers_match_serial_results(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        serial = str(tmp_path / "serial.json")
+        parallel = str(tmp_path / "parallel.json")
+        assert campaign(capsys, "--seeds", "0,1", "--export", serial)[0] == 0
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path / "other"))
+        code, out = campaign(
+            capsys, "--seeds", "0,1", "--workers", "2", "--export", parallel
         )
-        assert parallel.completed == serial.completed
+        assert code == 0
+        assert simulated(out) == 4
+        with open(serial, "rb") as a, open(parallel, "rb") as b:
+            assert a.read() == b.read()
 
-    def test_bad_worker_count_rejected(self, tmp_path):
-        with pytest.raises(CampaignError):
-            run_campaign(tiny_spec(), str(tmp_path / "c.json"), max_workers=0)
+    def test_bad_worker_count_rejected(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(ARGV + ["--workers", "0"])
+        assert excinfo.value.code == 2
 
-    def test_render_lists_every_point(self, tmp_path):
-        spec = tiny_spec()
-        result = run_campaign(spec, str(tmp_path / "ckpt.json"))
-        text = result.render()
-        for point in spec.points():
-            assert point.key in text
+    def test_render_lists_every_point(self, capsys):
+        code, out = campaign(capsys)
+        assert code == 0
+        for key in POINTS:
+            assert key in out
 
-    def test_checkpoint_written_atomically(self, tmp_path):
-        spec = tiny_spec(organizations=("baseline",))
-        path = str(tmp_path / "nested" / "dir" / "ckpt.json")
-        run_campaign(spec, path)
+    def test_checkpoint_written_atomically(self, capsys, tmp_path):
+        path = str(tmp_path / "nested" / "dir" / "out.json")
+        assert campaign(capsys, "--export", path)[0] == 0
         assert os.path.exists(path)
         leftovers = [
             name for name in os.listdir(os.path.dirname(path))

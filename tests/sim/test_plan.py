@@ -1,26 +1,21 @@
 """Tests for the deduplicating grid planner (repro.sim.plan)."""
 
-import json
 import os
 import signal
 
 import pytest
 
-from repro.errors import InterruptedRunError, ParallelError, ReproError
+from repro.errors import InterruptedRunError, ParallelError
 from repro.sim.export import result_to_json
-from repro.sim.parallel import JobOutcome, SimJob, raise_on_failures, run_many
+from repro.sim.parallel import SimJob, raise_on_failures, run_many
 from repro.sim.plan import (
-    RESUME_MANIFEST_KIND,
-    RESUME_MANIFEST_VERSION,
     PlannedExperiment,
     build_grid_plan,
     execute_grid_plan,
-    load_resume_manifest,
     run_jobs_cached,
-    seed_store_from_manifest,
-    write_resume_manifest,
 )
 from repro.sim.result_store import (
+    LocalDirBackend,
     ResultStore,
     result_store_disabled,
     use_result_store,
@@ -38,6 +33,11 @@ from .golden_cases import (
 
 SPEC = workload("milc")
 N = 120
+
+
+def disk_store(directory):
+    """A fresh store over ``directory`` — what a re-run process opens."""
+    return ResultStore(backend=LocalDirBackend(str(directory)))
 
 
 def job(org="cameo", spec=SPEC, seed=0, **kwargs):
@@ -222,46 +222,40 @@ def interrupt_after(n_done):
 
 
 class TestResumeManifest:
+    """Resume is a re-run against the on-disk store: every settled cell
+    reaches the :class:`LocalDirBackend` the moment it finishes, so a
+    fresh process (here: a fresh store) over the same directory serves
+    it and simulates only the rest."""
+
     def test_interrupt_flushes_settled_cells_and_resume_completes(
         self, tmp_path
     ):
-        """The full cycle: SIGINT mid-grid -> manifest -> seeded resume
-        simulates only the missing cells and lands byte-identical."""
+        """The full cycle: SIGINT mid-grid -> settled cells on disk ->
+        re-run simulates only the missing cells, byte-identical."""
         jobs = [job(seed=s) for s in range(4)]
         with result_store_disabled():
             reference = [result_to_json(o.result) for o in run_many(jobs)]
 
-        with use_result_store(ResultStore()):
+        with use_result_store(disk_store(tmp_path)):
             with pytest.raises(InterruptedRunError) as excinfo:
                 run_jobs_cached(jobs, log=interrupt_after(2))
         exc = excinfo.value
         assert exc.signal_name == "SIGINT"
         assert exc.pending_keys == [j.key for j in jobs[1:]]
-        path = str(tmp_path / "resume.json")
-        saved = write_resume_manifest(
-            path,
-            exc.outcomes,
-            exc.signal_name,
-            recipe={"accesses": N},
-            pending_keys=exc.pending_keys,
-        )
-        assert saved == 1  # exactly the settled prefix reached the manifest
+        # Every finished simulation reached the disk: the settled cell
+        # and the one whose ``done:`` line the signal interrupted (the
+        # serial runner banks a cell before reporting it).
+        assert len(list(tmp_path.glob("*.result.json"))) == 2
 
-        manifest = load_resume_manifest(path)
-        assert manifest["signal"] == "SIGINT"
-        assert manifest["recipe"] == {"accesses": N}
-        assert manifest["pending"] == [j.key for j in jobs[1:]]
-        with use_result_store(ResultStore()) as store:
-            assert seed_store_from_manifest(manifest, store) == 1
+        with use_result_store(disk_store(tmp_path)):
             outcomes = run_jobs_cached(jobs)
-        # Only the cells absent from the manifest were simulated.
-        assert [o.cached for o in outcomes] == [True, False, False, False]
+        assert [o.cached for o in outcomes] == [True, True, False, False]
         assert [result_to_json(o.result) for o in outcomes] == reference
 
     def test_golden_subset_byte_identical_across_interrupt_resume_cycle(
         self, tmp_path
     ):
-        """Golden fixtures through an interrupt + resume: no byte moves."""
+        """Golden fixtures through an interrupt + re-run: no byte moves."""
         config = make_config(
             stacked_pages=STACKED_PAGES, num_contexts=NUM_CONTEXTS
         )
@@ -270,102 +264,17 @@ class TestResumeManifest:
             SimJob(org, wl, config, ACCESSES_PER_CONTEXT, use_l3=True)
             for org, wl in cases
         ]
-        with use_result_store(ResultStore()):
-            with pytest.raises(InterruptedRunError) as excinfo:
+        with use_result_store(disk_store(tmp_path)):
+            with pytest.raises(InterruptedRunError):
                 run_jobs_cached(jobs, log=interrupt_after(4))
-        path = str(tmp_path / "resume.json")
-        write_resume_manifest(
-            path, excinfo.value.outcomes, excinfo.value.signal_name
-        )
 
-        with use_result_store(ResultStore()) as store:
-            seeded = seed_store_from_manifest(load_resume_manifest(path), store)
+        with use_result_store(disk_store(tmp_path)) as store:
             outcomes = run_jobs_cached(jobs)
-        assert seeded == 3
-        assert sum(1 for o in outcomes if o.cached) == 3
+        assert store.stats.disk_hits == 4
+        assert sum(1 for o in outcomes if o.cached) == 4
         raise_on_failures(outcomes, "golden resume")
         for (org, wl), outcome in zip(cases, outcomes):
             with open(fixture_path(org, wl)) as fp:
                 expected = fp.read()
             assert result_to_json(outcome.result) + "\n" == expected, \
                 f"{org} on {wl} drifted across the interrupt/resume cycle"
-
-    def test_manifest_skips_failures_and_collapses_duplicates(self, tmp_path):
-        ok = run_many([job()])[0]
-        failed = JobOutcome(job("baseline"), error="boom")
-        path = str(tmp_path / "resume.json")
-        saved = write_resume_manifest(
-            path, [ok, ok, failed, None], "SIGTERM"
-        )
-        assert saved == 1  # the duplicate collapses; failed/None are skipped
-        manifest = load_resume_manifest(path)
-        assert manifest["signal"] == "SIGTERM"
-        assert len(manifest["completed"]) == 1
-
-    def test_load_rejects_missing_corrupt_and_foreign_files(self, tmp_path):
-        with pytest.raises(ReproError, match="unreadable"):
-            load_resume_manifest(str(tmp_path / "absent.json"))
-        corrupt = tmp_path / "corrupt.json"
-        corrupt.write_text("{not json")
-        with pytest.raises(ReproError, match="unreadable"):
-            load_resume_manifest(str(corrupt))
-        foreign = tmp_path / "foreign.json"
-        foreign.write_text(json.dumps({"kind": "something-else"}))
-        with pytest.raises(ReproError, match="not a resume manifest"):
-            load_resume_manifest(str(foreign))
-
-    def test_load_rejects_unknown_and_missing_keys(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({
-            "kind": RESUME_MANIFEST_KIND,
-            "version": RESUME_MANIFEST_VERSION,
-            "signal": "SIGINT",
-            "recipe": {},
-            "completed": {},
-            "pending": [],
-            "surprise": 1,
-        }))
-        with pytest.raises(ReproError, match="surprise"):
-            load_resume_manifest(str(path))
-        path.write_text(json.dumps({
-            "kind": RESUME_MANIFEST_KIND,
-            "version": RESUME_MANIFEST_VERSION,
-        }))
-        with pytest.raises(ReproError, match="missing"):
-            load_resume_manifest(str(path))
-
-    def test_load_rejects_wrongly_typed_sections(self, tmp_path):
-        base = {
-            "kind": RESUME_MANIFEST_KIND,
-            "version": RESUME_MANIFEST_VERSION,
-            "signal": "SIGINT",
-            "recipe": {},
-            "completed": {},
-            "pending": [],
-        }
-        path = tmp_path / "m.json"
-        for key, bad in (
-            ("signal", 7), ("recipe", []), ("completed", []),
-            ("pending", "a,b"),
-        ):
-            payload = dict(base)
-            payload[key] = bad
-            path.write_text(json.dumps(payload))
-            with pytest.raises(ReproError, match=key):
-                load_resume_manifest(str(path))
-
-    def test_load_rejects_incompatible_version(self, tmp_path):
-        stale = tmp_path / "stale.json"
-        stale.write_text(json.dumps({
-            "kind": RESUME_MANIFEST_KIND,
-            "version": RESUME_MANIFEST_VERSION + 1,
-            "completed": {},
-        }))
-        with pytest.raises(ReproError, match="version"):
-            load_resume_manifest(str(stale))
-
-    def test_seed_skips_undecodable_cells(self):
-        store = ResultStore()
-        manifest = {"completed": {"fp-bad": {"schema": "drifted"}}}
-        assert seed_store_from_manifest(manifest, store) == 0
-        assert len(store) == 0

@@ -15,10 +15,9 @@ from repro.sim.planfile import (
     parse_plan,
     parse_plan_source,
     run_plan,
-    stage_fingerprints,
     write_status,
 )
-from repro.sim.result_store import ResultStore, use_result_store
+from repro.sim.result_store import LocalDirBackend, ResultStore, use_result_store
 from repro.workloads.ingest import write_trace_file
 from repro.workloads.trace import records_from_raw
 
@@ -49,6 +48,16 @@ def plan_text(**overrides):
 
 def load(text, path="<plan>"):
     return parse_plan(parse_plan_source(text, path), path)
+
+
+def run_in_store(plan, store_dir, **kwargs):
+    """Run ``plan`` against an on-disk store — a fresh process's view."""
+    with use_result_store(ResultStore(backend=LocalDirBackend(str(store_dir)))):
+        return run_plan(plan, **kwargs)
+
+
+def cached_flags(report):
+    return [o.cached for outcomes in report.outcomes.values() for o in outcomes]
 
 
 def write_tiny_trace(path, n=50, name="tiny", extra=()):
@@ -251,47 +260,54 @@ class TestPlanValidation:
 
 
 class TestStageFingerprints:
-    def test_stable_across_loads(self):
-        assert stage_fingerprints(load(plan_text())) == stage_fingerprints(
-            load(plan_text())
-        )
+    """What invalidates finished work: cells are content-addressed, so a
+    re-run simulates a cell exactly when one of its inputs changed."""
 
-    def test_grid_edit_invalidates_stage_and_dependents(self):
-        before = stage_fingerprints(load(plan_text()))
-        data = json.loads(plan_text())
-        data["stages"][0]["grid"]["seeds"] = [0, 1]
-        after = stage_fingerprints(load(json.dumps(data)))
-        assert after["first"] != before["first"]
-        assert after["second"] != before["second"]
+    def test_stable_across_loads(self, tmp_path):
+        first = run_in_store(load(plan_text()), tmp_path)
+        again = run_in_store(load(plan_text()), tmp_path)
+        assert not any(cached_flags(first))
+        assert all(cached_flags(again))
 
-    def test_failure_policy_edit_does_not_invalidate(self):
-        before = stage_fingerprints(load(plan_text()))
+    def test_failure_policy_edit_does_not_invalidate(self, tmp_path):
+        run_in_store(load(plan_text()), tmp_path)
         data = json.loads(plan_text())
         data["stages"][0]["failure_policy"] = {"max_attempts": 7}
-        after = stage_fingerprints(load(json.dumps(data)))
-        assert after == before
+        report = run_in_store(load(json.dumps(data)), tmp_path)
+        assert all(cached_flags(report))
 
-    def test_endpoints_edit_does_not_invalidate(self):
+    def test_endpoints_edit_does_not_invalidate(self, tmp_path):
         """Where a stage runs must never resimulate finished work."""
-        before = stage_fingerprints(load(plan_text()))
+        run_in_store(load(plan_text()), tmp_path)
         data = json.loads(plan_text())
-        data["stages"][0]["endpoints"] = ["10.0.0.2:7463", "10.0.0.3:7463"]
-        after = stage_fingerprints(load(json.dumps(data)))
-        assert after == before
+        # Closed localhost ports: every cell is served, so none is sent.
+        data["stages"][0]["endpoints"] = ["127.0.0.1:1", "127.0.0.1:2"]
+        report = run_in_store(load(json.dumps(data)), tmp_path)
+        assert all(cached_flags(report))
 
     def test_trace_content_is_fingerprinted_not_the_path(self, tmp_path):
-        trace = write_tiny_trace(tmp_path / "a.trace")
+        write_tiny_trace(tmp_path / "a.trace")
         data = json.loads(plan_text())
-        data["stages"][0]["grid"] = {"orgs": ["cameo"], "trace": "a.trace"}
+        data["stages"] = [
+            {"name": "first", "grid": {"orgs": ["cameo"], "trace": "a.trace"}}
+        ]
         path = tmp_path / "p.json"
         path.write_text(json.dumps(data))
-        before = stage_fingerprints(load_plan(str(path)))
+        store = tmp_path / "store"
+
+        def cached():
+            return cached_flags(run_in_store(load_plan(str(path)), store))
+
+        assert cached() == [False]
+        assert cached() == [True]
+        # New content under the same path simulates...
         write_tiny_trace(tmp_path / "a.trace", extra=[(5, 5, False)])
-        assert stage_fingerprints(load_plan(str(path)))["first"] != before["first"]
-        # Same content again -> same fingerprint.
-        write_tiny_trace(tmp_path / "a.trace", extra=[(5, 5, False)])
-        assert stage_fingerprints(load_plan(str(path)))["first"] != before["first"]
-        assert trace  # path unchanged throughout
+        assert cached() == [False]
+        # ...and the same content under a new path is served.
+        os.rename(tmp_path / "a.trace", tmp_path / "b.trace")
+        data["stages"][0]["grid"]["trace"] = "b.trace"
+        path.write_text(json.dumps(data))
+        assert cached() == [True]
 
 
 class TestStatusFile:
@@ -303,36 +319,42 @@ class TestStatusFile:
         with pytest.raises(PlanError, match="kind"):
             load_status(str(path))
         path.write_text(json.dumps({
-            "kind": "repro-plan-status", "version": 1, "plan_name": "t",
-            "stages": {"a": {"state": "launched"}}, "results": {},
+            "kind": "repro-plan-status", "version": 2, "plan_name": "t",
+            "stages": {"a": {"state": "launched"}},
         }))
         with pytest.raises(PlanError):
+            load_status(str(path))
+        # A version-1 file (with a results bank) is another format.
+        path.write_text(json.dumps({
+            "kind": "repro-plan-status", "version": 1, "plan_name": "t",
+            "stages": {}, "results": {},
+        }))
+        with pytest.raises(PlanError, match="version"):
             load_status(str(path))
 
     def test_write_load_roundtrip(self, tmp_path):
         path = str(tmp_path / "s.json")
         status = {
-            "kind": "repro-plan-status", "version": 1, "plan_name": "t",
+            "kind": "repro-plan-status", "version": 2, "plan_name": "t",
             "stages": {"a": {
-                "state": "completed", "fingerprint": "f", "attempts": 1,
-                "incidents": [], "cells_total": 2, "cells_failed": 0,
+                "state": "completed", "incidents": [], "cells_total": 2,
+                "cells_failed": 0,
             }},
-            "results": {},
         }
         write_status(path, status)
         assert load_status(path) == status
 
 
 class TestRunPlan:
-    def run(self, text, tmp_path, resume=False, n_jobs=1, log=None,
-            export=None, status_name="s.json"):
-        plan = load(text)
+    def run(self, text, tmp_path, n_jobs=1, log=None, export=None,
+            status_name="s.json", store="store"):
+        """One ``repro plan run``: the same ``store`` directory across
+        calls is what makes a second call a resume."""
         status_path = str(tmp_path / status_name)
-        with use_result_store(None):
-            report = run_plan(
-                plan, status_path, n_jobs=n_jobs, log=log, resume=resume,
-                export_path=export,
-            )
+        report = run_in_store(
+            load(text), tmp_path / store, status_path=status_path,
+            n_jobs=n_jobs, log=log, export_path=export,
+        )
         return report, status_path
 
     def test_runs_stages_in_order_and_persists_status(self, tmp_path):
@@ -344,18 +366,18 @@ class TestRunPlan:
         assert states == {"first": "completed", "second": "completed"}
         persisted = load_status(status_path)
         assert persisted["stages"]["first"]["cells_total"] == 2
-        assert len(persisted["results"]) == 3
+        assert len(list((tmp_path / "store").glob("*.result.json"))) == 3
 
     def test_resume_serves_every_cell_from_the_banked_results(self, tmp_path):
-        _, status_path = self.run(plan_text(), tmp_path)
-        report, _ = self.run(plan_text(), tmp_path, resume=True)
-        outcomes = [o for v in report.outcomes.values() for o in v]
-        assert outcomes and all(o.cached for o in outcomes)
+        self.run(plan_text(), tmp_path)
+        report, _ = self.run(plan_text(), tmp_path)
+        flags = cached_flags(report)
+        assert flags and all(flags)
 
-    def test_resume_refuses_a_foreign_status_file(self, tmp_path):
-        _, status_path = self.run(plan_text(), tmp_path)
-        with pytest.raises(PlanError, match="belongs to plan"):
-            self.run(plan_text(name="other"), tmp_path, resume=True)
+    def test_no_status_path_writes_no_status_file(self, tmp_path):
+        report = run_in_store(load(plan_text()), tmp_path / "store")
+        assert report.completed
+        assert sorted(os.listdir(tmp_path)) == ["store"]
 
     def test_abort_policy_stops_the_plan_and_records_the_stage(self, tmp_path):
         data = json.loads(plan_text())
@@ -431,40 +453,31 @@ class TestRunPlan:
         from tests.sim.test_plan import interrupt_after
 
         clean = str(tmp_path / "clean.json")
-        self.run(plan_text(), tmp_path, export=clean, status_name="c.json")
+        self.run(plan_text(), tmp_path, export=clean, status_name="c.json",
+                 store="clean-store")
         with pytest.raises(InterruptedRunError):
-            self.run(
-                plan_text(), tmp_path, log=interrupt_after(2),
-                status_name="i.json",
-            )
+            self.run(plan_text(), tmp_path, log=interrupt_after(2),
+                     status_name="i.json")
         status = load_status(str(tmp_path / "i.json"))
         assert status["stages"]["first"]["state"] == "interrupted"
-        assert len(status["results"]) == 1  # the settled prefix was banked
+        # Both finished simulations of the first stage reached the store.
+        assert len(list((tmp_path / "store").glob("*.result.json"))) == 2
         resumed = str(tmp_path / "resumed.json")
-        report, _ = self.run(
-            plan_text(), tmp_path, resume=True, export=resumed,
-            status_name="i.json",
-        )
-        cached = [o.cached for v in report.outcomes.values() for o in v]
-        assert cached.count(True) == 1
+        report, _ = self.run(plan_text(), tmp_path, export=resumed,
+                             status_name="i.json")
+        assert cached_flags(report) == [True, True, False]
         with open(clean, "rb") as a, open(resumed, "rb") as b:
             assert a.read() == b.read()
 
     def test_plan_edit_between_resumes_invalidates_dependents(self, tmp_path):
-        _, status_path = self.run(plan_text(), tmp_path)
+        self.run(plan_text(), tmp_path)
         data = json.loads(plan_text())
         data["stages"][0]["grid"]["seeds"] = [3]
-        messages = []
-        report, _ = self.run(
-            json.dumps(data), tmp_path, resume=True, log=messages.append
-        )
-        assert any("invalidated stage(s): first, second" in m for m in messages)
-        # The edited stage simulates fresh cells...
+        report, _ = self.run(json.dumps(data), tmp_path)
+        # The edited stage simulates its new cells...
         assert all(not o.cached for o in report.outcomes["first"])
-        # ...while its dependent's unchanged cell still replays from the
-        # banked results (same work, only the dependency's seed moved --
-        # no: dependency changed, so its fingerprint moved, but the cell
-        # itself is content-addressed and identical, hence served).
+        # ...while its unchanged dependent is served: cells are
+        # content-addressed, and the dependent's cell did not change.
         assert all(o.cached for o in report.outcomes["second"])
 
     def test_experiments_stage_executes_planner_jobs(self, tmp_path):

@@ -11,10 +11,13 @@ from repro.faults.model import FaultConfig
 from repro.sim.export import result_to_json
 from repro.sim.result_store import (
     RESULT_STORE_SCHEMA_VERSION,
+    LocalDirBackend,
     ResultStore,
     cell_fingerprint,
     clear_default_result_store,
+    code_digest,
     default_result_store,
+    durable_result_store,
     result_from_state,
     result_store_disabled,
     result_to_state,
@@ -164,12 +167,12 @@ class TestMemoryLayer:
 
 class TestDiskLayer:
     def test_round_trip_across_store_instances(self, tmp_path):
-        writer = ResultStore(disk_dir=str(tmp_path))
+        writer = ResultStore(backend=LocalDirBackend(str(tmp_path)))
         fp = fingerprint()
         result = fresh_result()
         writer.put(fp, result)
         assert writer.stats.disk_writes == 1
-        reader = ResultStore(disk_dir=str(tmp_path))
+        reader = ResultStore(backend=LocalDirBackend(str(tmp_path)))
         served = reader.get(fp)
         assert result_to_json(served) == result_to_json(result)
         assert reader.stats.disk_hits == 1
@@ -182,48 +185,69 @@ class TestDiskLayer:
         b"[1, 2, 3]",                                # wrong shape
     ])
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path, garbage):
-        writer = ResultStore(disk_dir=str(tmp_path))
+        writer = ResultStore(backend=LocalDirBackend(str(tmp_path)))
         fp = fingerprint()
         writer.put(fp, fresh_result())
         (entry,) = tmp_path.glob("*.result.json")
         entry.write_bytes(garbage)
-        reader = ResultStore(disk_dir=str(tmp_path))
+        reader = ResultStore(backend=LocalDirBackend(str(tmp_path)))
         assert reader.get(fp) is None
         assert reader.stats.misses == 1
         assert not list(tmp_path.glob("*.result.json"))  # unlinked
 
     def test_stale_schema_entry_is_regenerated_not_trusted(self, tmp_path):
-        writer = ResultStore(disk_dir=str(tmp_path))
+        writer = ResultStore(backend=LocalDirBackend(str(tmp_path)))
         fp = fingerprint()
         writer.put(fp, fresh_result())
         (entry,) = tmp_path.glob("*.result.json")
         payload = json.loads(entry.read_bytes())
         payload["schema"] = RESULT_STORE_SCHEMA_VERSION + 1
         entry.write_bytes(json.dumps(payload).encode())
-        reader = ResultStore(disk_dir=str(tmp_path))
+        reader = ResultStore(backend=LocalDirBackend(str(tmp_path)))
         assert reader.get(fp) is None
+
+    def test_entry_from_other_code_is_discarded_and_regenerated(self, tmp_path):
+        """Keys cover a cell's inputs only: the code digest stamped in
+        each entry is what stops an edited simulator from being served
+        the old simulator's numbers."""
+        writer = ResultStore(backend=LocalDirBackend(str(tmp_path)))
+        fp = fingerprint()
+        result = fresh_result()
+        writer.put(fp, result)
+        (entry,) = tmp_path.glob("*.result.json")
+        payload = json.loads(entry.read_bytes())
+        assert payload["code"] == code_digest()
+        payload["code"] = "0" * 64
+        entry.write_bytes(json.dumps(payload).encode())
+        reader = ResultStore(backend=LocalDirBackend(str(tmp_path)))
+        assert reader.get(fp) is None
+        assert reader.stats.misses == 1
+        assert not entry.exists()  # discarded, not left to miss forever
+        reader.put(fp, result)
+        again = ResultStore(backend=LocalDirBackend(str(tmp_path)))
+        assert result_to_json(again.get(fp)) == result_to_json(result)
 
     def test_wrong_fingerprint_in_payload_is_rejected(self, tmp_path):
         """A renamed/copied entry file must not serve under a new key."""
-        writer = ResultStore(disk_dir=str(tmp_path))
+        writer = ResultStore(backend=LocalDirBackend(str(tmp_path)))
         writer.put(fingerprint(), fresh_result())
         (entry,) = tmp_path.glob("*.result.json")
         other = fingerprint(seed=99)
         entry.rename(tmp_path / f"{other}.result.json")
-        reader = ResultStore(disk_dir=str(tmp_path))
+        reader = ResultStore(backend=LocalDirBackend(str(tmp_path)))
         assert reader.get(other) is None
 
     def test_contains_is_a_cheap_probe(self, tmp_path):
-        store = ResultStore(disk_dir=str(tmp_path))
+        store = ResultStore(backend=LocalDirBackend(str(tmp_path)))
         fp = fingerprint()
         assert not store.contains(fp)
         store.put(fp, fresh_result())
-        fresh = ResultStore(disk_dir=str(tmp_path))
+        fresh = ResultStore(backend=LocalDirBackend(str(tmp_path)))
         assert fresh.contains(fp)
         assert fresh.stats.hits == 0 and fresh.stats.misses == 0
 
     def test_clear_disk_removes_entries(self, tmp_path):
-        store = ResultStore(disk_dir=str(tmp_path))
+        store = ResultStore(backend=LocalDirBackend(str(tmp_path)))
         store.put(fingerprint(), fresh_result())
         assert list(tmp_path.glob("*.result.json"))
         store.clear(disk=True)
@@ -259,15 +283,6 @@ class TestStoreBackends:
         assert reader.contains(fp)
         reader.clear(disk=True)
         assert not entry.exists()
-
-    def test_disk_dir_and_backend_are_mutually_exclusive(self, tmp_path):
-        from repro.sim.result_store import SharedDirBackend
-
-        with pytest.raises(ConfigurationError, match="not both"):
-            ResultStore(
-                disk_dir=str(tmp_path),
-                backend=SharedDirBackend(str(tmp_path)),
-            )
 
     def test_shared_env_mode_uses_the_sharded_backend(self, monkeypatch,
                                                       tmp_path):
@@ -405,6 +420,46 @@ class TestDefaultStore:
         finally:
             monkeypatch.undo()
             clear_default_result_store()
+
+    def test_durable_store_gives_memory_mode_a_disk_layer(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
+        with use_result_store(ResultStore()):
+            with durable_result_store() as store:
+                assert default_result_store() is store
+                assert isinstance(store.backend, LocalDirBackend)
+                assert store.backend.directory == str(tmp_path)
+
+    def test_durable_store_keeps_a_configured_backend_and_off(self, tmp_path):
+        from repro.sim.result_store import SharedDirBackend
+
+        shared = ResultStore(backend=SharedDirBackend(str(tmp_path)))
+        with use_result_store(shared):
+            with durable_result_store() as store:
+                assert store is shared
+        with result_store_disabled():
+            with durable_result_store() as store:
+                assert store is None
+                assert default_result_store() is None
+
+    def test_durable_store_interrupt_names_the_directory(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.errors import InterruptedRunError
+
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
+        with use_result_store(ResultStore()):
+            with pytest.raises(InterruptedRunError) as excinfo:
+                with durable_result_store():
+                    raise InterruptedRunError(
+                        "stopped", signal_name="SIGTERM", pending_keys=["a"]
+                    )
+        exc = excinfo.value
+        assert str(tmp_path) in str(exc)
+        assert "re-run the same command" in str(exc)
+        assert exc.signal_name == "SIGTERM"
+        assert exc.pending_keys == ["a"]
 
 
 class TestRunnerIntegration:

@@ -1,9 +1,18 @@
 """Tests for the command-line interface."""
 
+import os
+import re
+import signal
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import FIGURES, main
 from repro.sim._kernel_build import kernel_available
+
+# paper, plan run and campaign bank cells in REPRO_RESULT_CACHE_DIR.
+pytestmark = pytest.mark.usefixtures("result_store_dir")
 
 
 class TestList:
@@ -100,6 +109,63 @@ class TestPaper:
     def test_unknown_experiment_exits_2(self, capsys):
         assert main(["paper", "--experiments", "figure99", "--dry-run"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_interrupt_then_rerun_simulates_only_the_missing_cells(
+        self, result_store_dir
+    ):
+        """SIGINT after a few ``done:`` lines exits 3 naming the store;
+        running the same command again simulates only the cells that had
+        not settled and renders byte-identical tables."""
+        argv = [sys.executable, "-m", "repro", "paper",
+                "--experiments", "figure2", "--accesses", "200"]
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+
+        def run(store):
+            env["REPRO_RESULT_CACHE_DIR"] = store
+            done = subprocess.run(argv, env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        def tables(out):
+            """The rendered output: everything after the last cell line."""
+            lines = out.splitlines()
+            last = max(i for i, line in enumerate(lines)
+                       if line.startswith(("done: ", "cached: ")))
+            return [line for line in lines[last + 1:]
+                    if not line.startswith("ran ")]
+
+        clean = run(os.path.join(result_store_dir, "clean"))
+
+        store = os.path.join(result_store_dir, "interrupted")
+        env["REPRO_RESULT_CACHE_DIR"] = store
+        child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True)
+        seen = 0
+        for line in child.stdout:
+            if line.startswith("done: "):
+                seen += 1
+                if seen == 5:
+                    child.send_signal(signal.SIGINT)
+                    break
+        child.stdout.read()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 3
+        assert store in err and "re-run the same command" in err
+        banked = sum(1 for name in os.listdir(store)
+                     if name.endswith(".result.json"))
+        assert 5 <= banked < 85
+
+        resumed = run(store)
+        total = int(re.search(r"(\d+) cells requested", resumed).group(1))
+        assert resumed.count("\ndone: ") == total - banked
+        assert f"store hits now:  {banked}" in resumed
+        assert tables(resumed) == tables(clean)
 
 
 class TestMix:
@@ -233,12 +299,10 @@ class TestErrorHandling:
         assert lines[0].startswith("error:")
         assert "Traceback" not in captured.err
 
-    def test_campaign_spec_error_exits_2(self, tmp_path, capsys):
-        # An empty grid is a CampaignError, surfaced the same way.
-        assert main([
-            "campaign", "--checkpoint", str(tmp_path / "c.json"),
-            "--timeout", "-1",
-        ]) == 2
+    def test_campaign_spec_error_exits_2(self, capsys):
+        # The campaign grid is validated as a plan: a PlanError, surfaced
+        # the same way.
+        assert main(["campaign", "--timeout", "-1"]) == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -268,10 +332,28 @@ class TestArgumentValidation:
         with pytest.raises(SystemExit):
             main(["faults", "cameo", "astar", "--transient-rate", "1.5"])
 
-    def test_campaign_seed_list_must_be_integers(self, tmp_path):
+    def test_campaign_seed_list_must_be_integers(self):
         with pytest.raises(SystemExit):
-            main(["campaign", "--checkpoint", str(tmp_path / "c.json"),
-                  "--seeds", "0,two"])
+            main(["campaign", "--seeds", "0,two"])
+
+    def test_campaign_has_no_single_seed_flag(self):
+        # --seeds is the campaign's only seed knob; --seed must be an
+        # error, not an abbreviation of it.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--seed", "3"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["paper", "--resume", "x"],
+        ["paper", "--manifest", "x"],
+        ["plan", "run", "p.yaml", "--resume"],
+        ["campaign", "--checkpoint", "x"],
+    ])
+    def test_removed_resume_flags_rejected_at_parse_time(self, argv):
+        # Resuming is re-running the same command against the store.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 class TestFaultsCommand:
@@ -297,30 +379,39 @@ class TestFaultsCommand:
 
 
 class TestCampaignCommand:
-    def test_campaign_runs_and_resumes(self, tmp_path, capsys):
-        checkpoint = str(tmp_path / "campaign.json")
-        argv = [
-            "campaign", "--checkpoint", checkpoint,
-            "--orgs", "baseline,cameo", "--workloads", "astar",
-            "--accesses", "40", "--scale-shift", "14",
-        ]
-        assert main(argv) == 0
+    ARGV = [
+        "campaign", "--orgs", "baseline,cameo", "--workloads", "astar",
+        "--accesses", "40", "--scale-shift", "14",
+    ]
+
+    def test_campaign_runs_and_resumes(self, capsys):
+        assert main(self.ARGV) == 0
         first = capsys.readouterr().out
         assert "2/2 points complete" in first
+        assert "2 cell(s) simulated" in first
 
-        # Re-invoking with the same checkpoint re-runs nothing.
-        assert main(argv) == 0
+        # Re-running the same command re-runs nothing.
+        assert main(self.ARGV) == 0
         second = capsys.readouterr().out
-        assert "resume: 2 points already complete" in second
-        assert "start:" not in second
+        assert "2/2 points complete" in second
+        assert "0 cell(s) simulated, 2 served from the store" in second
+        assert "done:" not in second
 
-    def test_failed_points_flip_the_exit_code(self, tmp_path, capsys):
-        assert main([
-            "campaign", "--checkpoint", str(tmp_path / "c.json"),
-            "--orgs", "baseline,no-such-org", "--workloads", "astar",
-            "--accesses", "40", "--scale-shift", "14", "--attempts", "1",
-        ]) == 1
-        assert "FAILED" in capsys.readouterr().out
+    def test_failed_points_flip_the_exit_code(self, monkeypatch, capsys):
+        from repro.sim import parallel
+
+        real_run_job = parallel.run_job
+
+        def run_job(job):
+            if job.organization == "cameo":
+                raise RuntimeError("injected point failure")
+            return real_run_job(job)
+
+        monkeypatch.setattr(parallel, "run_job", run_job)
+        assert main(self.ARGV + ["--attempts", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "FAILED" in out
+        assert "1/2 points complete" in out
 
 
 class TestPlanCommand:
@@ -363,8 +454,9 @@ class TestPlanCommand:
         assert main(["plan", "status", status]) == 0
         assert "completed" in capsys.readouterr().out
 
+        # Re-running the same command is the resume.
         export2 = str(tmp_path / "e2.json")
-        assert main(["plan", "run", plan, "--status", status, "--resume",
+        assert main(["plan", "run", plan, "--status", status,
                      "--export", export2]) == 0
         assert "2 served from the store" in capsys.readouterr().out
         with open(export1, "rb") as a, open(export2, "rb") as b:

@@ -6,9 +6,9 @@ import pytest
 
 import repro.errors as errors_module
 from repro.errors import (
-    CampaignError,
     ConfigurationError,
     FaultError,
+    PlanError,
     RecoveryExhaustedError,
     ReproError,
     SimulationError,
@@ -16,9 +16,9 @@ from repro.errors import (
 )
 
 ALL_ERRORS = [
-    CampaignError,
     ConfigurationError,
     FaultError,
+    PlanError,
     RecoveryExhaustedError,
     SimulationError,
     WorkloadError,
