@@ -21,7 +21,11 @@
  *
  * Organization dispatch (II_ORG_KIND):
  *   0 NoStackedBaseline   — one off-chip line access
- *   1 CoLocatedLltCameo   — LLT probe/swap + location predictor
+ *   1 CameoController     — the LLT designs, selected by II_CAMEO_DESIGN:
+ *                           0 CoLocatedLltCameo (LEAD probe/swap + location
+ *                           predictor), 1 IdealLltCameo / SramLltCameo
+ *                           (fixed lookup), 2 EmbeddedLltCameo (LLT line
+ *                           read from reserved stacked DRAM first)
  *   2 AlloyCacheOrg       — direct-mapped TAD probe + MAP-I predictor
  *                           (DoubleUse is this arm with a larger dev 1)
  *   3 TlmStatic/TlmOracle — region-split addressing, no migration
@@ -41,7 +45,7 @@
 typedef long long i64;
 typedef unsigned char u8;
 
-#define RK_ABI 2LL
+#define RK_ABI 3LL
 
 /* Return codes (mirrored in engine_vector.py). */
 #define RK_DONE 0
@@ -88,7 +92,7 @@ typedef unsigned char u8;
 #define II_MAPI_ENTRIES 32   /* MAP-I counter table entries */
 #define II_MAPI_THRESHOLD 33 /* counter >= threshold predicts hit */
 #define II_MAPI_MAX 34       /* saturating counter ceiling */
-#define II_STACKED_LINES 35  /* tlm: region split boundary */
+#define II_STACKED_LINES 35  /* tlm: region split; embedded-llt: LLT top */
 #define II_STACKED_PAGES 36  /* tlm: stacked frame count */
 #define II_MIG_THRESHOLD 37  /* tlm-dynamic: touches before migration */
 #define II_EPOCH_ACCESSES 38 /* tlm-freq: epoch length */
@@ -112,7 +116,9 @@ typedef unsigned char u8;
 #define II_STAT_ALLOY 70 /* hits, misses, fills, dirty_victim_writebacks */
 #define II_STAT_MAPI 74  /* predictions, correct */
 #define II_STAT_DEV 76   /* +d*7: rd, wr, bytes_rd, bytes_wr, hit, closed, conf */
-#define II_CTX_BASE 90   /* counts | active | parked | warmed | tr_len, each N */
+#define II_CAMEO_DESIGN 90 /* 0 co-located, 1 ideal/sram, 2 embedded */
+#define II_LLT_ENTRIES_PER_LINE 91 /* embedded-llt: groups per LLT line */
+#define II_CTX_BASE 92   /* counts | active | parked | warmed | tr_len, each N */
 
 /* F (double) scalar layout. */
 #define FF_L3_LATENCY 0
@@ -123,7 +129,8 @@ typedef unsigned char u8;
 #define FF_CYC 5 /* +d*12+slot*4: hit, closed, conflict, transfer */
 #define FF_WBUF 29
 #define FF_DSTAT 31 /* +d*2: queue_wait, service */
-#define FF_CTX_BASE 35 /* next_time | finish | work_per_event, each N */
+#define FF_LOOKUP_CYCLES 35 /* ideal/sram-llt: lookup before a read */
+#define FF_CTX_BASE 36 /* next_time | finish | work_per_event, each N */
 
 /* P (pointer) layout. */
 #define P_FWD 0
@@ -523,7 +530,100 @@ static void llt_swap_to_stacked(St *st, i64 group, i64 rslot) {
     st->llt_resident[group] = (u8)rslot;
 }
 
-/* -- CAMEO (CoLocatedLltCameo; stacked is dev 0, off-chip dev 1) ---------- */
+/* -- CAMEO (CameoController designs; stacked is dev 0, off-chip dev 1) ---- */
+
+/* Mirror of _perform_swap with victim_prefetched=False: read the victim
+ * out of the stacked slot, write the requested line in, write the
+ * victim off-chip; the LLT entry moves immediately. */
+static void swap_unprefetched(St *st, double time, i64 group, i64 rslot,
+                              i64 off_line) {
+    i64 ops[3];
+    ops[0] = pack_op(0, 0, 0, 0, group);
+    ops[1] = pack_op(0, 0, 1, 0, group);
+    ops[2] = pack_op(1, 0, 1, 0, off_line);
+    posted_push(st, time, 3, ops);
+    llt_swap_to_stacked(st, group, rslot);
+    st->I[II_STAT_ORG + 5] += 1; /* line_swaps */
+}
+
+/* IdealLltCameo / SramLltCameo: the location is known after a fixed
+ * lookup (0 for ideal) that reads pay and writes do not.  No predictor
+ * training and no case stats. */
+static double ideal_access(St *st, double now, i64 group, i64 rslot,
+                           i64 aslot, i64 off_line, i64 is_write,
+                           i64 is_wb) {
+    double latency;
+    if (is_write) {
+        if (aslot == 0) {
+            latency = dev_access(st, 0, now, group, 0, 1);
+        } else if (!st->I[II_SWAP_ON_WRITE]) {
+            latency = dev_access(st, 1, now, off_line, 0, 1);
+        } else {
+            swap_unprefetched(st, now, group, rslot, off_line);
+            latency = 0.0;
+        }
+    } else {
+        double lookup = st->F[FF_LOOKUP_CYCLES];
+        double start = now + lookup;
+        if (aslot == 0) {
+            double res = dev_access(st, 0, start, group, 0, 0);
+            latency = lookup + res;
+        } else {
+            double res = dev_access(st, 1, start, off_line, 0, 0);
+            latency = lookup + res;
+            swap_unprefetched(st, now + latency, group, rslot, off_line);
+        }
+    }
+    org_note(st, is_write, is_wb, aslot == 0);
+    return latency;
+}
+
+/* EmbeddedLltCameo: every request first reads its LLT line from the
+ * reserved top of stacked DRAM, then touches the data.  No predictor
+ * training and no case stats. */
+static double embedded_access(St *st, double now, i64 group, i64 rslot,
+                              i64 aslot, i64 off_line, i64 is_write,
+                              i64 is_wb) {
+    i64 llt_line = st->I[II_STACKED_LINES] - 1 -
+                   group / st->I[II_LLT_ENTRIES_PER_LINE];
+    double probe = dev_access(st, 0, now, llt_line, 0, 0);
+    double data_start = now + probe;
+    double latency;
+    i64 ops[4];
+    if (!is_write) {
+        if (aslot == 0) {
+            double res = dev_access(st, 0, data_start, group, 0, 0);
+            latency = (data_start - now) + res;
+        } else {
+            double res = dev_access(st, 1, data_start, off_line, 0, 0);
+            double finish = data_start + res;
+            swap_unprefetched(st, finish, group, rslot, off_line);
+            /* The swap also rewrites the LLT entry. */
+            ops[0] = pack_op(0, 0, 1, 0, llt_line);
+            posted_push(st, finish, 1, ops);
+            latency = finish - now;
+        }
+    } else {
+        if (aslot == 0) {
+            ops[0] = pack_op(0, 0, 1, 0, group);
+            posted_push(st, data_start, 1, ops);
+        } else if (!st->I[II_SWAP_ON_WRITE]) {
+            ops[0] = pack_op(1, 0, 1, 0, off_line);
+            posted_push(st, data_start, 1, ops);
+        } else {
+            ops[0] = pack_op(0, 0, 0, 0, group);
+            ops[1] = pack_op(0, 0, 1, 0, group);
+            ops[2] = pack_op(1, 0, 1, 0, off_line);
+            ops[3] = pack_op(0, 0, 1, 0, llt_line);
+            posted_push(st, data_start, 4, ops);
+            llt_swap_to_stacked(st, group, rslot);
+            st->I[II_STAT_ORG + 5] += 1; /* line_swaps */
+        }
+        latency = data_start - now;
+    }
+    org_note(st, is_write, is_wb, aslot == 0);
+    return latency;
+}
 
 static double cameo_access(St *st, double now, i64 line, i64 is_write,
                            i64 is_wb, i64 ctx, i64 pc) {
@@ -535,6 +635,15 @@ static double cameo_access(St *st, double now, i64 line, i64 is_write,
     i64 gb = st->I[II_GROUP_BITS];
     i64 rslot = line >> gb;
     i64 aslot = st->llt_table[group * st->I[II_GROUP_SIZE] + rslot];
+    i64 design = st->I[II_CAMEO_DESIGN];
+    if (design != 0) {
+        i64 off_line = aslot ? ((aslot - 1) << gb) | group : -1;
+        if (design == 1)
+            return ideal_access(st, now, group, rslot, aslot, off_line,
+                                is_write, is_wb);
+        return embedded_access(st, now, group, rslot, aslot, off_line,
+                               is_write, is_wb);
+    }
     i64 pk = st->I[II_PREDICTOR_KIND];
     double latency;
     i64 stacked;
@@ -961,8 +1070,8 @@ i64 rk_run(i64 *I, double *F, void **P) {
 
     before:
         /* Reserve headroom so an access never finds the heap or the
-         * journal full mid-flight (one access posts at most two entries
-         * and migrates at most twice: writeback + demand). */
+         * journal full mid-flight (writeback + demand post at most three
+         * entries and migrate at most twice). */
         if (I[II_POSTED_LEN] > st.posted_cap - 8)
             return bail(&st, RK_POSTED_FULL, PH_BEFORE, ctx, now);
         if (I[II_SWAP_LOG_LEN] > I[II_SWAP_LOG_CAP] - 4)

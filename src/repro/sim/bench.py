@@ -479,16 +479,18 @@ def require_kernel_failures(payload: Dict) -> List[str]:
 
     ``repro bench --require-kernel`` turns a silent per-cell fallback
     into exit code 2: every cell whose organization has a kernel-side
-    service path (:data:`repro.sim.engine_vector.LOWERED_ORG_NAMES`)
-    must record ``backend == "vector"``. Organizations outside that
-    roster are exempt — they are expected to run the python loop.
+    service path (:data:`repro.sim.engine_vector.LOWERED_ORG_NAMES` and
+    :data:`~repro.sim.engine_vector.LOWERED_LLT_DESIGNS`) must record
+    ``backend == "vector"``. Organizations outside that roster are
+    exempt — they are expected to run the python loop.
     """
-    from .engine_vector import LOWERED_ORG_NAMES
+    from .engine_vector import LOWERED_LLT_DESIGNS, LOWERED_ORG_NAMES
 
+    lowered = LOWERED_ORG_NAMES + LOWERED_LLT_DESIGNS
     failures = []
     for entry in payload.get("results", ()):
         org = entry.get("organization")
-        if org not in LOWERED_ORG_NAMES:
+        if org not in lowered:
             continue
         if entry.get("backend") != "vector":
             reason = entry.get("fallback_reason") or "no reason recorded"

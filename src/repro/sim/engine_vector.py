@@ -2,10 +2,12 @@
 
 :func:`run_trace_vector` lowers a run onto ``_vector_kernel.c`` when —
 and only when — every piece of the configuration has a kernel-side
-mirror. The whole paper grid qualifies: CAMEO's co-located design, the
-no-stacked baseline, the Alloy Cache (and DoubleUse) with the MAP-I
-predictor, and the TLM family (static/oracle steady state, dynamic
-swap-on-touch migration, frequency counting). Anything else returns
+mirror. The whole paper grid qualifies: CAMEO's co-located design and
+its Ideal/SRAM/Embedded LLT designs (service paths of one kernel kind,
+picked by a design selector), the no-stacked baseline, the Alloy Cache
+(and DoubleUse) with the MAP-I predictor, and the TLM family
+(static/oracle steady state, dynamic swap-on-touch migration, frequency
+counting). Anything else returns
 ``None`` and :func:`repro.sim.engine.run_trace` falls back to the
 reference Python loop. The two backends are *byte-identical* (the
 golden corpus enforces it): the kernel shares the Python objects' own
@@ -36,7 +38,12 @@ from typing import List, Optional, Sequence
 
 from ..core.lead import LEAD_BYTES
 from ..core.llp import LastLocationPredictor, PerfectPredictor, SamPredictor
-from ..core.llt_designs import CoLocatedLltCameo
+from ..core.llt_designs import (
+    CoLocatedLltCameo,
+    EmbeddedLltCameo,
+    IdealLltCameo,
+    SramLltCameo,
+)
 from ..errors import SimulationError
 from ..orgs.alloy import ALLOY_TAD_BYTES, AlloyCacheOrg, MapIPredictor
 from ..orgs.baseline import NoStackedBaseline
@@ -115,7 +122,9 @@ II_STAT_VM = 69
 II_STAT_ALLOY = 70
 II_STAT_MAPI = 74
 II_STAT_DEV = 76
-II_CTX_BASE = 90
+II_CAMEO_DESIGN = 90
+II_LLT_ENTRIES_PER_LINE = 91
+II_CTX_BASE = 92
 
 FF_L3_LATENCY = 0
 FF_MLP = 1
@@ -125,7 +134,8 @@ FF_EPOCH_TIME = 4
 FF_CYC = 5
 FF_WBUF = 29
 FF_DSTAT = 31
-FF_CTX_BASE = 35
+FF_LOOKUP_CYCLES = 35
+FF_CTX_BASE = 36
 
 P_FWD = 0
 P_INV = 1
@@ -221,16 +231,29 @@ def _fallback(reason: str, org_name: Optional[str] = None):
 
 #: Organization names whose paper-grid configuration has a kernel-side
 #: service path. ``repro bench --require-kernel`` fails when any of
-#: these records a fallback, and the per-org engagement tests cover
-#: each one. The cameo variants (sam/perfect/ideal-llt/...) subclass
-#: the lowered designs and are intentionally absent: the exact-type
-#: gate refuses subclasses it has never audited; ``cameo-sam`` and
+#: these (or of :data:`LOWERED_LLT_DESIGNS`) records a fallback, and the
+#: per-org engagement tests cover each one. ``cameo-sam`` and
 #: ``cameo-perfect`` are the co-located design with stock predictors,
-#: which the kernel models directly.
+#: which the kernel models directly. The benchmark's fault-bound and
+#: steady-pool grids are built from this exact tuple, so it stays fixed.
 LOWERED_ORG_NAMES = (
     "baseline", "cameo", "cameo-sam", "cameo-perfect", "cache", "doubleuse",
     "tlm-static", "tlm-oracle", "tlm-dynamic", "tlm-freq",
 )
+
+#: The paper's other LLT designs (Figure 9 and Section IV-C-1), lowered
+#: as service paths of the cameo kernel kind. The remaining cameo
+#: variants (``cameo-freq-hint``, ``cameo-assoc``) are not lowered: the
+#: exact-type gate refuses classes it has never audited.
+LOWERED_LLT_DESIGNS = ("cameo-ideal-llt", "cameo-embedded-llt", "cameo-sram-llt")
+
+#: Exact CameoController type -> kernel design selector (II_CAMEO_DESIGN).
+_CAMEO_DESIGNS = {
+    CoLocatedLltCameo: 0,
+    IdealLltCameo: 1,
+    SramLltCameo: 1,
+    EmbeddedLltCameo: 2,
+}
 
 
 def snapshot_backend_stats() -> dict:
@@ -538,7 +561,8 @@ def run_trace_vector(
 
     # -- Lowerability ----------------------------------------------------------
     predictor_kind, llp_entries = 0, 1
-    if type(org) is CoLocatedLltCameo:
+    cameo_design = _CAMEO_DESIGNS.get(type(org))
+    if cameo_design is not None:
         org_kind = 1
         if org.decommissioned or org.auditor is not None:
             return _fallback("cameo fault-recovery state active", org_name)
@@ -546,17 +570,21 @@ def run_trace_vector(
             return _fallback("LLT has suspect groups", org_name)
         if org.space.group_size > 255:
             return _fallback("group size exceeds byte-wide LLT entries", org_name)
+        # Only the co-located design consults its predictor; the other
+        # designs keep predictor_kind 0 and never touch the tables.
         predictor = org.predictor
-        if type(predictor) is SamPredictor:
-            predictor_kind, llp_entries = 0, 1
-        elif type(predictor) is LastLocationPredictor:
-            predictor_kind, llp_entries = 1, predictor.entries
-        elif type(predictor) is PerfectPredictor:
-            predictor_kind, llp_entries = 2, 1
-        else:
-            return _fallback(
-                f"predictor {type(predictor).__name__} not lowerable", org_name
-            )
+        if cameo_design == 0:
+            if type(predictor) is SamPredictor:
+                predictor_kind, llp_entries = 0, 1
+            elif type(predictor) is LastLocationPredictor:
+                predictor_kind, llp_entries = 1, predictor.entries
+            elif type(predictor) is PerfectPredictor:
+                predictor_kind, llp_entries = 2, 1
+            else:
+                return _fallback(
+                    f"predictor {type(predictor).__name__} not lowerable",
+                    org_name,
+                )
         devices = [org.stacked, org.offchip]
         demand_dev = 0
     elif type(org) is NoStackedBaseline:
@@ -663,6 +691,12 @@ def run_trace_vector(
         I[II_GROUP_MASK] = org._group_mask
         I[II_TOTAL_LINES] = org._total_lines
         I[II_GROUP_SIZE] = org.space.group_size
+        I[II_CAMEO_DESIGN] = cameo_design
+        if cameo_design == 1:
+            F[FF_LOOKUP_CYCLES] = org.LOOKUP_CYCLES
+        elif cameo_design == 2:
+            I[II_STACKED_LINES] = config.stacked_lines
+            I[II_LLT_ENTRIES_PER_LINE] = org.ENTRIES_PER_LINE
         P[P_LLT_TABLE] = _addr_of_bytes(org.llt._table, keepalive)
         P[P_LLT_RESIDENT] = _addr_of_bytes(org.llt._resident, keepalive)
         if predictor_kind == 1:

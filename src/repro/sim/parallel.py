@@ -153,6 +153,15 @@ class JobOutcome:
         return self.error is None and self.result is not None
 
     @property
+    def ran_in_process(self) -> bool:
+        """Simulated in this process (``n_jobs=1`` or the inline fallback).
+
+        Such a cell went through :func:`~repro.sim.runner.run_workload`
+        here, which has already written it to this process's result store.
+        """
+        return self.worker_id in ("serial", "inline")
+
+    @property
     def dispatch_overhead_seconds(self) -> Optional[float]:
         """Wall time spent *around* the simulation: pipe, polling.
 

@@ -112,9 +112,13 @@ def run_jobs_cached(
     def flush(run_index: int, outcome: JobOutcome) -> None:
         # Incremental: each settled cell reaches the store (and the full
         # outcome table) immediately, so an interrupt or crash of the
-        # parent loses only in-flight work.
+        # parent loses only in-flight work. A cell simulated in this
+        # process was already stored by run_workload itself.
         fingerprint = run_fingerprints[run_index]
-        if outcome.ok and fingerprint is not None and store is not None:
+        if (
+            outcome.ok and fingerprint is not None and store is not None
+            and not outcome.ran_in_process
+        ):
             store.put(fingerprint, outcome.result)
         distribute(run_index, outcome)
 

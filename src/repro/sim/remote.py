@@ -22,8 +22,9 @@ protocol corruption. One connection carries one *session*:
 2. server → ``{"kind": "repro-remote-welcome", ...}`` when both sides
    agree on protocol revision *and* code fingerprint, else a
    ``repro-remote-reject`` frame and a close. The fingerprint covers
-   the package version, the protocol revision, and the result-store
-   schema — two builds that could disagree on bytes never exchange
+   the package version, the protocol revision, the result-store
+   schema and the source digest — two builds that could disagree on
+   bytes never exchange
    cells, so distributed grids stay byte-identical by construction.
 3. client → task frames ``{"target", "payload", "key", "attempt",
    "heartbeat_every"}``; server answers each with zero or more
@@ -87,17 +88,19 @@ _HANDSHAKE_TIMEOUT_SECONDS = 10.0
 def code_fingerprint() -> str:
     """A digest two processes must share to exchange cells.
 
-    Covers the package version, the wire-protocol revision, and the
-    result-store schema version: the three coordinates that decide
-    whether two builds produce interchangeable, byte-identical results.
+    Covers the package version, the wire-protocol revision, the
+    result-store schema version, and the digest of the package source
+    (:func:`~repro.sim.result_store.code_digest`): two checkouts with
+    equal version numbers but different code are refused too.
     """
     from .. import __version__
-    from .result_store import RESULT_STORE_SCHEMA_VERSION
+    from .result_store import RESULT_STORE_SCHEMA_VERSION, code_digest
 
     blob = repr((
         __version__,
         REMOTE_PROTOCOL_VERSION,
         RESULT_STORE_SCHEMA_VERSION,
+        code_digest(),
     )).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -199,9 +199,17 @@ class TestRequireKernel:
 
     def test_orgs_without_a_kernel_path_are_exempt(self):
         assert bench.require_kernel_failures({"results": [
-            {"organization": "cameo-ideal-llt", "workload": "milc",
+            {"organization": "cameo-assoc", "workload": "milc",
              "backend": "python", "fallback_reason": "not lowerable"},
         ]}) == []
+
+    def test_llt_designs_must_engage(self):
+        failures = bench.require_kernel_failures({"results": [
+            {"organization": org, "workload": "milc",
+             "backend": "python", "fallback_reason": "not lowerable"}
+            for org in ("cameo-ideal-llt", "cameo-embedded-llt", "cameo-sram-llt")
+        ]})
+        assert len(failures) == 3
 
     def test_migrated_pre_v5_cells_fail_the_gate(self):
         # A null (unknown) backend is not proof of engagement.

@@ -137,12 +137,12 @@ def test_vector_without_kernel_falls_back(monkeypatch):
 
 
 def test_non_lowerable_org_falls_back_transparently():
-    # The ideal-LLT bound subclasses the co-located design, and the
-    # exact-type gate must not lower subclasses it has never seen: the
+    # The set-associative extension has no kernel-side mirror, and the
+    # exact-type gate must not lower classes it has never seen: the
     # vector backend runs it through the python loop and says so.
     engine_vector.reset_backend_stats()
-    vec = run_case("cameo-ideal-llt", "astar", "vector")
-    py = run_case("cameo-ideal-llt", "astar", "python")
+    vec = run_case("cameo-assoc", "astar", "vector")
+    py = run_case("cameo-assoc", "astar", "python")
     assert vec == py
     assert engine_vector.backend_stats["kernel_runs"] == 0
     assert engine_vector.backend_stats["fallbacks"] == 1
@@ -150,10 +150,14 @@ def test_non_lowerable_org_falls_back_transparently():
 
 
 @needs_kernel
-@pytest.mark.parametrize("org_name", engine_vector.LOWERED_ORG_NAMES)
+@pytest.mark.parametrize(
+    "org_name", engine_vector.LOWERED_ORG_NAMES + engine_vector.LOWERED_LLT_DESIGNS
+)
 def test_kernel_engages_per_org(org_name):
     # Engagement, not just equivalence: a silent fallback would pass the
     # golden corpus while delivering none of the speedup.
+    config = make_config(stacked_pages=16, num_contexts=2)
+    org = build_organization(org_name, config)
     engine_vector.reset_backend_stats()
     vec = run_case(org_name, "astar", "vector")
     py = run_case(org_name, "astar", "python")
@@ -161,10 +165,42 @@ def test_kernel_engages_per_org(org_name):
     stats = engine_vector.backend_stats
     assert stats["kernel_runs"] == 1
     assert stats["fallbacks"] == 0
-    # by_org tallies under the design's own name: the predictor
-    # variants of the co-located design all report as "cameo".
-    tally_key = "cameo" if org_name.startswith("cameo") else org_name
-    assert stats["by_org"][tally_key]["kernel_runs"] == 1
+    # by_org tallies under the organization's own name, which the
+    # predictor variants of the co-located design share ("cameo").
+    assert stats["by_org"][org.name]["kernel_runs"] == 1
+
+
+@needs_kernel
+@pytest.mark.parametrize("org_name, kwargs", [
+    pytest.param("cameo-ideal-llt", {}, id="ideal"),
+    pytest.param("cameo-sram-llt", {}, id="sram"),
+    pytest.param("cameo-embedded-llt", {}, id="embedded"),
+    pytest.param(
+        "cameo-embedded-llt", {"swap_on_write": False},
+        id="embedded-write-in-place",
+    ),
+])
+def test_llt_designs_match_on_the_paper_system(org_name, kwargs):
+    # The scaled paper system, not the miniature corpus machine: only
+    # there does the order of two entries posted at the same time (the
+    # embedded design's swap, then its LLT rewrite) change a byte. The
+    # write-in-place case is a path the paper grid never reaches.
+    from repro.config.system import scaled_paper_system
+
+    def run(engine):
+        config = scaled_paper_system()
+        org = build_organization(org_name, config, **kwargs)
+        machine = Machine(config, org, use_l3=True)
+        spec = workload("milc")
+        generators = rate_mode_generators(spec, config)
+        return result_to_json(run_trace(
+            machine, generators, spec, accesses_per_context=300, engine=engine
+        ))
+
+    engine_vector.reset_backend_stats()
+    assert run("vector") == run("python")
+    assert engine_vector.backend_stats["kernel_runs"] == 1
+    assert engine_vector.backend_stats["fallbacks"] == 0
 
 
 @needs_kernel

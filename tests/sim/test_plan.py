@@ -87,6 +87,29 @@ class TestRunJobsCached:
             "baseline", "cameo", "cache", "cameo",
         ]
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_each_settled_cell_is_stored_once_in_the_parent(
+        self, monkeypatch, n_jobs
+    ):
+        puts = []
+        real_put = ResultStore.put
+
+        def counting_put(store, fingerprint, result):
+            puts.append(fingerprint)
+            return real_put(store, fingerprint, result)
+
+        monkeypatch.setattr(ResultStore, "put", counting_put)
+        jobs = [job(), job("baseline"), job("cache")]
+        with use_result_store(ResultStore()) as store:
+            outcomes = run_jobs_cached(jobs, n_jobs=n_jobs)
+        assert all(o.ok for o in outcomes)
+        # Serial cells are stored by run_workload, pool-served cells by
+        # the parent's flush (a worker's own puts never reach this list
+        # or this store): either way once per cell, and all land here.
+        assert len(puts) == 3
+        assert len(set(puts)) == 3
+        assert len(store) == 3
+
     def test_failed_cell_fails_its_duplicates_too(self):
         bad = SimJob("cameo", "no-such-workload", make_config(), N)
         with use_result_store(ResultStore()) as store:

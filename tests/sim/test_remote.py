@@ -226,6 +226,31 @@ class TestHandshake:
             conn.close()
             thread.join(timeout=5.0)
 
+    def test_source_skew_with_equal_versions_is_rejected(self, monkeypatch):
+        # Same package, protocol and schema versions, different source:
+        # the client's fingerprint is taken with another code digest.
+        from repro.sim import result_store
+
+        with monkeypatch.context() as patch:
+            patch.setattr(result_store, "code_digest", lambda: "0" * 64)
+            skewed = code_fingerprint()
+        assert skewed != code_fingerprint()
+        endpoint, thread = self._serve_once()
+        sock = socket.create_connection((endpoint.host, endpoint.port), 5.0)
+        conn = FramedConnection(sock)
+        try:
+            conn.send({
+                "kind": "repro-remote-hello",
+                "protocol": REMOTE_PROTOCOL_VERSION,
+                "fingerprint": skewed,
+            })
+            reject = conn.recv()
+            assert reject["kind"] == "repro-remote-reject"
+            assert "fingerprint" in reject["reason"]
+        finally:
+            conn.close()
+            thread.join(timeout=5.0)
+
 
 class TestRemoteDispatch:
     def test_cells_stream_through_remote_endpoints(self, endpoint_pair,
