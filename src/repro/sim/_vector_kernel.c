@@ -10,9 +10,10 @@
  * identical order — the contract is byte-for-byte equivalence with the
  * pure-Python interpreter, enforced by the golden fixture corpus.
  *
- * Anything the kernel cannot reproduce exactly (page faults, the
- * warmup barrier's stat reset, the progress heartbeat, a full posted
- * heap or swap journal, a TLM-Freq epoch rebalance) makes it *bail*:
+ * Anything the kernel cannot reproduce exactly (first-touch page
+ * allocation, the warmup barrier's stat reset, the progress heartbeat,
+ * a full posted heap or journal, a TLM-Freq epoch rebalance) makes it
+ * *bail*:
  * it returns a reason code with resume state in the I/F scalar buffers,
  * the Python driver handles the event through the ordinary object API,
  * and re-enters.  The kernel therefore never approximates — it only
@@ -29,23 +30,31 @@
  *   2 AlloyCacheOrg       — direct-mapped TAD probe + MAP-I predictor
  *                           (DoubleUse is this arm with a larger dev 1)
  *   3 TlmStatic/TlmOracle — region-split addressing, no migration
- *                           (oracle placement acts only at fault time,
- *                           which always bails to Python)
+ *                           (oracle placement acts only at first-touch
+ *                           allocation, which always bails to Python)
  *   4 TlmDynamic          — in-kernel swap-on-touch migration with a
  *                           journaled page-table swap the driver replays
  *   5 TlmFreq             — in-kernel counting; epoch rebalances bail
+ *
+ * Reclaim page faults (no frame free, II_RECLAIM set) run in the kernel:
+ * it mirrors MemoryManager.translate's reclaim branch (ClockReplacer's
+ * random probes on a mirrored MT19937, then the clock sweep over the
+ * shared referenced column), the engine's L3 shootdown and each org
+ * kind's page_drain/page_fill, and journals the fault beside its page
+ * swaps so engine_vector.py can replay both, in order, into the page table.
  *
  * ABI: rk_abi_version() must match RK_ABI in _kernel_build.py; the
  * buffer layouts below must match the II_/FF_/P_ constants in
  * engine_vector.py.  Bump the ABI on any layout change.
  */
 
+#include <stdint.h>
 #include <string.h>
 
 typedef long long i64;
 typedef unsigned char u8;
 
-#define RK_ABI 3LL
+#define RK_ABI 4LL
 
 /* Return codes (mirrored in engine_vector.py). */
 #define RK_DONE 0
@@ -56,6 +65,16 @@ typedef unsigned char u8;
 #define RK_ERROR 5
 #define RK_EPOCH 6    /* TLM-Freq epoch boundary: Python rebalances */
 #define RK_SWAP_LOG 7 /* journal near capacity: Python replays it */
+
+/* II_ERROR_CODE values for RK_ERROR (named in engine_vector.py). */
+#define ERR_POSTED_RANGE 1 /* posted op outside its device */
+#define ERR_ACCESS_RANGE 2 /* access outside its device or line space */
+#define ERR_VICTIM_RANGE 3 /* fault victim frame outside [0, num_frames) */
+#define ERR_KEY_RANGE 4    /* translation key outside the dense map */
+
+/* Journal records (P_SWAP_LOG): (tag, a, b) triples. */
+#define JR_SWAP 0  /* a = off-chip frame, b = stacked frame */
+#define JR_FAULT 1 /* a = frame, b = dense key of the page mapped in */
 
 /* Resume phases. */
 #define PH_SELECT 0
@@ -118,7 +137,16 @@ typedef unsigned char u8;
 #define II_STAT_DEV 76   /* +d*7: rd, wr, bytes_rd, bytes_wr, hit, closed, conf */
 #define II_CAMEO_DESIGN 90 /* 0 co-located, 1 ideal/sram, 2 embedded */
 #define II_LLT_ENTRIES_PER_LINE 91 /* embedded-llt: groups per LLT line */
-#define II_CTX_BASE 92   /* counts | active | parked | warmed | tr_len, each N */
+#define II_STAT_FAULT 92 /* vm faults, evictions, dirty_evictions */
+#define II_STAT_SSD 95   /* page_reads, page_writes, bytes_read, bytes_written */
+#define II_PAGE_BYTES 99
+#define II_NUM_FRAMES 100
+#define II_RANDOM_PROBES 101
+#define II_VM_HAND 102      /* ClockReplacer._hand (running value) */
+#define II_RECLAIM 103      /* 1: no frame is free, serve faults here */
+#define II_RNG_DRAWN 104    /* set when the kernel advanced the RNG */
+#define II_KERNEL_FAULTS 105 /* faults served in the kernel */
+#define II_CTX_BASE 106  /* counts | active | parked | warmed | tr_len, each N */
 
 /* F (double) scalar layout. */
 #define FF_L3_LATENCY 0
@@ -130,11 +158,12 @@ typedef unsigned char u8;
 #define FF_WBUF 29
 #define FF_DSTAT 31 /* +d*2: queue_wait, service */
 #define FF_LOOKUP_CYCLES 35 /* ideal/sram-llt: lookup before a read */
-#define FF_CTX_BASE 36 /* next_time | finish | work_per_event, each N */
+#define FF_FAULT_LATENCY 36 /* float(ssd.fault_latency_cycles) */
+#define FF_CTX_BASE 37 /* next_time | finish | work_per_event, each N */
 
 /* P (pointer) layout. */
 #define P_FWD 0
-#define P_INV 1 /* frame -> packed vpage key + 1 (migrating orgs only) */
+#define P_INV 1 /* frame -> packed vpage key + 1 (0: free or off-map) */
 #define P_PAGE_REF 2
 #define P_PAGE_DIRTY 3
 #define P_LLT_TABLE 4
@@ -144,11 +173,12 @@ typedef unsigned char u8;
 #define P_L3_TAGS 8
 #define P_L3_LRU 9
 #define P_POSTED 10
-#define P_SWAP_LOG 11 /* i64 (frame_a, frame_b) pairs */
+#define P_SWAP_LOG 11 /* i64 (tag, a, b) journal records */
 #define P_ORG_A 12 /* alloy tags (i64) | tlm-dyn referenced (u8) | tlm-freq counts (i64) */
 #define P_ORG_B 13 /* alloy dirty (u8) | tlm-dyn touch counts (i64) */
 #define P_DEV 14   /* +d*4: bank_open(i64), bank_busy(f64), bus(f64), debt(f64) */
-#define P_TRACE 22 /* +c*3: vline(i64), pc(i64), is_write(u8) */
+#define P_RNG 22   /* i64[625]: MT19937 state words + index (getstate) */
+#define P_TRACE 23 /* +c*3: vline(i64), pc(i64), is_write(u8) */
 /* after traces: +c: per-context predictor table (u8) — LLP for cameo,
  * MAP-I for alloy — may be NULL */
 
@@ -199,12 +229,13 @@ typedef struct {
     i64 *l3_tags;
     u8 *l3_lru;
     i64 *swap_log;
+    i64 *rng;
     i64 *alloy_tags;  /* P_ORG_A when kind == 2 */
     u8 *alloy_dirty;  /* P_ORG_B when kind == 2 */
     u8 *dyn_ref;      /* P_ORG_A when kind == 4 */
     i64 *dyn_touch;   /* P_ORG_B when kind == 4 */
     i64 *freq_counts; /* P_ORG_A when kind == 5 */
-    int error;
+    int error; /* an ERR_ code once something went out of range */
     int epoch_due;     /* TLM-Freq epoch boundary reached */
     double epoch_time; /* completion time of the triggering access */
 } St;
@@ -217,7 +248,7 @@ static double dev_access(St *st, i64 d, double now, i64 line, i64 slot,
                          i64 is_write) {
     Dev *dv = &st->dev[d];
     if (line < 0 || line >= dv->capacity_lines) {
-        st->error = 1;
+        st->error = ERR_ACCESS_RANGE;
         return 0.0;
     }
     i64 ch = line % dv->n_channels;
@@ -292,7 +323,7 @@ static double dev_access(St *st, i64 d, double now, i64 line, i64 slot,
 static void dev_speculative(St *st, i64 d, double now, i64 line, i64 slot) {
     Dev *dv = &st->dev[d];
     if (line < 0 || line >= dv->capacity_lines) {
-        st->error = 1;
+        st->error = ERR_ACCESS_RANGE;
         return;
     }
     double transfer = dv->cyc[slot][3];
@@ -312,13 +343,12 @@ static void dev_speculative(St *st, i64 d, double now, i64 line, i64 slot) {
     *dv->sv += transfer;
 }
 
-/* Mirror of DramDevice.stream: bulk-transfer lines_per_page consecutive
- * lines, spread round-robin over the channels; each channel's bus is
+/* Mirror of DramDevice.stream: bulk-transfer n_lines consecutive lines,
+ * spread round-robin over the channels; each channel's bus is
  * hard-reserved for its share.  Per-line bank state is not updated. */
 static double dev_stream(St *st, i64 d, double now, i64 first_line,
-                         i64 is_write) {
+                         i64 n_lines, i64 is_write) {
     Dev *dv = &st->dev[d];
-    i64 n_lines = st->I[II_LINES_PER_PAGE];
     i64 n_channels = dv->n_channels;
     i64 base_share = n_lines / n_channels;
     i64 extra = n_lines % n_channels;
@@ -426,7 +456,7 @@ static void flush_posted(St *st, double now) {
             i64 line = op >> 8;
             i64 w = (op >> 3) & 1;
             if (op & 16)
-                dev_stream(st, d, e.time, line, w);
+                dev_stream(st, d, e.time, line, st->I[II_LINES_PER_PAGE], w);
             else
                 dev_access(st, d, e.time, line, (op >> 1) & 3, w);
             if (st->error) return;
@@ -628,7 +658,7 @@ static double embedded_access(St *st, double now, i64 group, i64 rslot,
 static double cameo_access(St *st, double now, i64 line, i64 is_write,
                            i64 is_wb, i64 ctx, i64 pc) {
     if (line < 0 || line >= st->I[II_TOTAL_LINES]) {
-        st->error = 1;
+        st->error = ERR_ACCESS_RANGE;
         return 0.0;
     }
     i64 group = line & st->I[II_GROUP_MASK];
@@ -820,6 +850,14 @@ static double alloy_access(St *st, double now, i64 line, i64 is_write,
 
 /* -- TLM family (stacked is dev 0, off-chip dev 1) ------------------------ */
 
+static void journal(St *st, i64 tag, i64 a, i64 b) {
+    i64 len = st->I[II_SWAP_LOG_LEN];
+    st->swap_log[3 * len] = tag;
+    st->swap_log[3 * len + 1] = a;
+    st->swap_log[3 * len + 2] = b;
+    st->I[II_SWAP_LOG_LEN] = len + 1;
+}
+
 /* Mirror of TlmBase.migrate_swap + MemoryManager.swap_frames: post the
  * four page streams, swap the dense forward/inverse maps and the shared
  * reference/dirty columns, and journal the pair so the driver can
@@ -849,10 +887,7 @@ static void tlm_migrate(St *st, double time, i64 offchip_frame,
     st->page_dirty[offchip_frame] = st->page_dirty[stacked_frame];
     st->page_dirty[stacked_frame] = tmp;
 
-    i64 len = st->I[II_SWAP_LOG_LEN];
-    st->swap_log[2 * len] = offchip_frame;
-    st->swap_log[2 * len + 1] = stacked_frame;
-    st->I[II_SWAP_LOG_LEN] = len + 1;
+    journal(st, JR_SWAP, offchip_frame, stacked_frame);
     st->I[II_STAT_ORG + 8] += 1; /* page_migrations */
 }
 
@@ -938,6 +973,221 @@ static double org_access(St *st, double now, i64 line, i64 is_write,
     return tlm_access(st, now, line, is_write, is_wb);
 }
 
+/* -- Paging (mirror of the engine's reclaim-fault path) ------------------ */
+
+/* CPython's random.Random: MT19937 genrand_uint32 over the state words
+ * that Random.getstate() exports (624 words, then the index). */
+#define MT_N 624
+#define MT_M 397
+
+static uint32_t mt_next(i64 *mt) {
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    if (mt[MT_N] >= MT_N) {
+        i64 kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = ((uint32_t)mt[kk] & 0x80000000U) |
+                ((uint32_t)mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = (uint32_t)mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = ((uint32_t)mt[kk] & 0x80000000U) |
+                ((uint32_t)mt[kk + 1] & 0x7fffffffU);
+            mt[kk] =
+                (uint32_t)mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = ((uint32_t)mt[MT_N - 1] & 0x80000000U) |
+            ((uint32_t)mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = (uint32_t)mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        mt[MT_N] = 0;
+    }
+    y = (uint32_t)mt[mt[MT_N]++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* Random.randrange(n) == _randbelow_with_getrandbits(n) for
+ * 0 < n < 2**32: getrandbits(k) with k = n.bit_length(), redrawn while
+ * the draw is >= n. */
+static i64 mt_randbelow(i64 *mt, i64 n) {
+    int k = 0;
+    while (k < 32 && (n >> k)) k++;
+    i64 r = mt_next(mt) >> (32 - k);
+    while (r >= n) r = mt_next(mt) >> (32 - k);
+    return r;
+}
+
+/* Mirror of SetAssociativeCache.evict_line: drop the line without
+ * touching recency or the L3 stats; returns 1 when it was dirty. */
+static i64 l3_evict(St *st, i64 line) {
+    i64 num_sets = st->I[II_L3_SETS];
+    i64 ways = st->I[II_L3_WAYS];
+    i64 set_idx = line % num_sets;
+    i64 tag = line / num_sets;
+    for (i64 idx = set_idx * ways; idx < (set_idx + 1) * ways; idx++) {
+        if (st->l3_valid[idx] && st->l3_tags[idx] == tag) {
+            i64 dirty = st->l3_dirty[idx];
+            st->l3_valid[idx] = 0;
+            st->l3_dirty[idx] = 0;
+            return dirty;
+        }
+    }
+    return 0;
+}
+
+/* Each org kind's page_fill (is_write) / page_drain stream of a frame. */
+static void page_stream(St *st, double now, i64 frame, i64 is_write) {
+    i64 per_page = st->I[II_LINES_PER_PAGE];
+    i64 first = frame * per_page;
+    i64 kind = st->I[II_ORG_KIND];
+    if (kind == 0) {
+        dev_stream(st, 0, now, first, per_page, is_write);
+    } else if (kind == 2) {
+        dev_stream(st, 1, now, first, per_page, is_write);
+    } else if (kind == 1) {
+        /* CameoController._split_frame_lines: stream each line's share
+         * from wherever the LLT places it. */
+        i64 gb = st->I[II_GROUP_BITS];
+        i64 mask = st->I[II_GROUP_MASK];
+        i64 k = st->I[II_GROUP_SIZE];
+        i64 n_stacked = 0;
+        for (i64 line = first; line < first + per_page; line++)
+            if (st->llt_table[(line & mask) * k + (line >> gb)] == 0)
+                n_stacked++;
+        if (n_stacked) dev_stream(st, 0, now, first, n_stacked, is_write);
+        if (per_page - n_stacked)
+            dev_stream(st, 1, now, first, per_page - n_stacked, is_write);
+    } else {
+        /* TlmBase._stream_frame: region-split routing. */
+        i64 stacked_lines = st->I[II_STACKED_LINES];
+        if (first < stacked_lines)
+            dev_stream(st, 0, now, first, per_page, is_write);
+        else
+            dev_stream(st, 1, now, first - stacked_lines, per_page, is_write);
+    }
+}
+
+/* AlloyCacheOrg.page_drain: flush the frame's cached lines (dirty ones
+ * are written off-chip) before streaming it out. */
+static void alloy_flush_frame(St *st, double now, i64 frame) {
+    i64 per_page = st->I[II_LINES_PER_PAGE];
+    i64 num_sets = st->I[II_NUM_SETS];
+    for (i64 line = frame * per_page; line < (frame + 1) * per_page; line++) {
+        i64 set_idx = line % num_sets;
+        if (st->alloy_tags[set_idx] == line) {
+            if (st->alloy_dirty[set_idx]) dev_access(st, 1, now, line, 0, 1);
+            st->alloy_tags[set_idx] = -1;
+            st->alloy_dirty[set_idx] = 0;
+        }
+    }
+}
+
+/* One reclaim fault: MemoryManager.translate's reclaim branch (victim
+ * selection, unmap, SSD traffic, map + touch), then the engine's L3
+ * shootdown and the org's page_drain/page_fill.  Every frame is valid
+ * (no frame is free), so the random probes cannot succeed but still
+ * draw.  Returns the frame the page now occupies; sets st->error on an
+ * out-of-range victim or device access. */
+static i64 reclaim_fault(St *st, double now, i64 ctx, i64 key,
+                         i64 is_write) {
+    i64 *I = st->I;
+    i64 n = I[II_NUM_FRAMES];
+    for (i64 p = 0; p < I[II_RANDOM_PROBES]; p++) {
+        mt_randbelow(st->rng, n);
+        I[II_RNG_DRAWN] = 1;
+    }
+    i64 hand = I[II_VM_HAND];
+    if (hand < 0 || hand >= n) {
+        st->error = ERR_VICTIM_RANGE;
+        return 0;
+    }
+    i64 frame = -1;
+    for (i64 k = 0; k < 2 * n; k++) {
+        i64 fr = hand;
+        hand = (hand + 1) % n;
+        if (st->page_ref[fr]) {
+            st->page_ref[fr] = 0;
+        } else {
+            frame = fr;
+            break;
+        }
+    }
+    if (frame < 0) {
+        frame = hand;
+        hand = (hand + 1) % n;
+    }
+    I[II_VM_HAND] = hand;
+
+    /* Unmap the victim; a dirty one costs an SSD page write. */
+    i64 evicted_dirty = st->page_dirty[frame];
+    i64 evicted_key = st->inv[frame];
+    if (evicted_key) st->fwd[evicted_key - 1] = 0;
+    I[II_STAT_VM] += 1;        /* translations */
+    I[II_STAT_FAULT] += 1;     /* faults */
+    I[II_STAT_FAULT + 1] += 1; /* evictions */
+    if (evicted_dirty) {
+        I[II_STAT_FAULT + 2] += 1; /* dirty_evictions */
+        I[II_STAT_SSD + 1] += 1;
+        I[II_STAT_SSD + 3] += I[II_PAGE_BYTES];
+    }
+    I[II_STAT_SSD] += 1;
+    I[II_STAT_SSD + 2] += I[II_PAGE_BYTES];
+    /* Map and touch the new page. */
+    st->page_ref[frame] = 1;
+    st->page_dirty[frame] = is_write ? 1 : 0;
+    st->fwd[key] = frame + 1;
+    st->inv[frame] = key + 1;
+    journal(st, JR_FAULT, frame, key);
+    I[II_KERNEL_FAULTS] += 1;
+
+    if (I[II_HAS_L3]) {
+        /* OS shootdown: dirty lines are written back through the org. */
+        i64 per_page = I[II_LINES_PER_PAGE];
+        for (i64 line = frame * per_page; line < (frame + 1) * per_page;
+             line++) {
+            if (l3_evict(st, line)) {
+                org_access(st, now, line, 1, 1, ctx, 0);
+                if (st->error) return frame;
+            }
+        }
+    }
+    if (evicted_dirty) {
+        if (I[II_ORG_KIND] == 2) alloy_flush_frame(st, now, frame);
+        page_stream(st, now, frame, 0);
+    }
+    page_stream(st, now, frame, 1);
+    return frame;
+}
+
+/* Why the kernel cannot serve a translation miss right now (0: it can).
+ * RK_FAULT hands the access to Python from the top; the others resume
+ * at PH_AFTER_FETCH once Python has made room. */
+static i64 fault_bail(St *st) {
+    i64 *I = st->I;
+    if (!I[II_RECLAIM]) return RK_FAULT; /* first-touch allocation */
+    i64 per_page = I[II_LINES_PER_PAGE];
+    i64 has_l3 = I[II_HAS_L3];
+    i64 kind = I[II_ORG_KIND];
+    /* A TLM-Freq epoch boundary inside the shootdown's writebacks would
+     * need a mid-fault resume; Python serves that fault instead. */
+    if (kind == 5 && has_l3 &&
+        I[II_EPOCH_COUNT] + per_page >= I[II_EPOCH_ACCESSES])
+        return RK_FAULT;
+    /* Shootdown writebacks post at most two entries (and TLM-Dynamic
+     * journals one migration) per line, on top of the reserve kept at
+     * `before` for the demand access. */
+    i64 posted_need = has_l3 ? 2 * per_page : 0;
+    if (I[II_POSTED_LEN] + posted_need > st->posted_cap - 8)
+        return RK_POSTED_FULL;
+    i64 journal_need = 1 + (kind == 4 && has_l3 ? per_page : 0);
+    if (I[II_SWAP_LOG_LEN] + journal_need > I[II_SWAP_LOG_CAP] - 4)
+        return I[II_SWAP_LOG_LEN] ? RK_SWAP_LOG : RK_FAULT;
+    return 0;
+}
+
 /* -- The run loop (mirror of engine._run_trace_python) -------------------- */
 
 static i64 bail(St *st, i64 code, i64 phase, i64 ctx, double now) {
@@ -968,6 +1218,7 @@ i64 rk_run(i64 *I, double *F, void **P) {
     st.l3_tags = (i64 *)P[P_L3_TAGS];
     st.l3_lru = (u8 *)P[P_L3_LRU];
     st.swap_log = (i64 *)P[P_SWAP_LOG];
+    st.rng = (i64 *)P[P_RNG];
     st.alloy_tags = (i64 *)P[P_ORG_A];
     st.alloy_dirty = (u8 *)P[P_ORG_B];
     st.dyn_ref = (u8 *)P[P_ORG_A];
@@ -1097,22 +1348,40 @@ i64 rk_run(i64 *I, double *F, void **P) {
         if (I[II_POSTED_LEN] > 0) {
             flush_posted(&st, now);
             if (st.error) {
-                I[II_ERROR_CODE] = 1;
+                I[II_ERROR_CODE] = ERR_POSTED_RANGE;
                 return bail(&st, RK_ERROR, PH_SELECT, ctx, now);
             }
         }
 
         i64 vpage = vline / lines_per_page;
         i64 offset = vline % lines_per_page;
-        i64 f = st.fwd[ctx * vstride + vpage];
-        if (!f) /* page fault: Python runs this access via the object API */
-            return bail(&st, RK_FAULT, PH_SELECT, ctx, now);
-        i64 frame = f - 1;
-        I[II_STAT_VM] += 1; /* translations */
-        st.page_ref[frame] = 1;
-        if (is_write) st.page_dirty[frame] = 1;
-
+        i64 key = ctx * vstride + vpage;
+        if (key < 0 || key >= N * vstride) {
+            I[II_ERROR_CODE] = ERR_KEY_RANGE;
+            return bail(&st, RK_ERROR, PH_SELECT, ctx, now);
+        }
+        i64 f = st.fwd[key];
+        i64 frame;
         stall = 0.0;
+        if (f) {
+            frame = f - 1;
+            I[II_STAT_VM] += 1; /* translations */
+            st.page_ref[frame] = 1;
+            if (is_write) st.page_dirty[frame] = 1;
+        } else {
+            i64 why = fault_bail(&st);
+            if (why == RK_FAULT) /* Python runs this access's fault path */
+                return bail(&st, RK_FAULT, PH_SELECT, ctx, now);
+            if (why)
+                return bail(&st, why, PH_AFTER_FETCH, ctx, now);
+            frame = reclaim_fault(&st, now, ctx, key, is_write);
+            if (st.error) {
+                I[II_ERROR_CODE] = st.error;
+                return bail(&st, RK_ERROR, PH_SELECT, ctx, now);
+            }
+            stall += F[FF_FAULT_LATENCY];
+        }
+
         line = frame * lines_per_page + offset;
         go_to_memory = 1;
         if (has_l3) {
@@ -1124,7 +1393,7 @@ i64 rk_run(i64 *I, double *F, void **P) {
             } else if (wb_line >= 0) {
                 org_access(&st, now, wb_line, 1, 1, ctx, pc);
                 if (st.error) {
-                    I[II_ERROR_CODE] = 2;
+                    I[II_ERROR_CODE] = st.error;
                     return bail(&st, RK_ERROR, PH_SELECT, ctx, now);
                 }
                 if (st.epoch_due) {
@@ -1161,7 +1430,7 @@ i64 rk_run(i64 *I, double *F, void **P) {
             if (!is_write) stall += lat / mlp;
         }
         if (st.error) {
-            I[II_ERROR_CODE] = 2;
+            I[II_ERROR_CODE] = st.error;
             return bail(&st, RK_ERROR, PH_SELECT, ctx, now);
         }
         next_time[ctx] = now + work[ctx] + stall;

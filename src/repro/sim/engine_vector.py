@@ -13,9 +13,13 @@ reference Python loop. The two backends are *byte-identical* (the
 golden corpus enforces it): the kernel shares the Python objects' own
 columnar buffers (zero-copy via ctypes), performs the identical
 sequence of float operations, and *bails back* to Python for everything
-it does not model — page faults, the warmup barrier's stat reset,
-progress heartbeats, a full posted heap or swap journal, and TLM-Freq's
-epoch rebalance (which runs through ``TlmFreq.service_epoch`` itself).
+it does not model — first-touch page allocation (a fault while a frame
+is still free), the warmup barrier's stat reset, progress heartbeats, a
+full posted heap or journal, and TLM-Freq's epoch rebalance (which runs
+through ``TlmFreq.service_epoch`` itself). Reclaim faults, the steady
+state of every capacity-limited run, stay in the kernel: it mirrors the
+clock replacer (its random probes on a mirrored MT19937), the SSD
+accounting, the L3 shootdown and each org's page drain and fill.
 
 Stats discipline: counters are synced as *running values*, not deltas —
 the kernel continues Python's accumulation in place (seeded on entry,
@@ -23,14 +27,19 @@ copied back on exit), so float accumulation order is exactly the
 reference interpreter's. Timing state (bank/bus horizons, LLT, LLP and
 MAP-I tables, L3 metadata, page reference/dirty bits, TLM placement
 counters) needs no syncing at all: the kernel mutates the same memory
-the objects wrap. Kernel-side page migrations are journaled as frame
-pairs and replayed into the Python page table and free lists on every
-exit (:meth:`MemoryManager.reconcile_external_swap`).
+the objects wrap. Kernel-side page migrations and reclaim faults are
+journaled in order and replayed into the Python page table and free
+lists on every exit (:meth:`MemoryManager.reconcile_external_swap`,
+:meth:`MemoryManager.reconcile_external_fault`). Python-side mapping
+changes flow the other way: a fault Python serves patches the dense
+maps directly, and every frame swap it causes reaches them through
+:attr:`MemoryManager.swap_journal`.
 """
 
 from __future__ import annotations
 
 import ctypes
+import random
 import struct
 from array import array
 from collections import OrderedDict
@@ -53,6 +62,9 @@ from ..orgs.tlm_dynamic import TlmDynamic
 from ..orgs.tlm_freq import TlmFreq
 from ..orgs.tlm_oracle import TlmOracle
 from ..request import MemoryRequest
+from ..vm.clock import ClockReplacer
+from ..vm.memory_manager import MemoryManager
+from ..vm.ssd import SsdModel
 from ..workloads.replay import ReplayTraceSource
 from ..workloads.synthetic import SyntheticTraceGenerator
 from ._kernel_build import load_kernel
@@ -124,7 +136,16 @@ II_STAT_MAPI = 74
 II_STAT_DEV = 76
 II_CAMEO_DESIGN = 90
 II_LLT_ENTRIES_PER_LINE = 91
-II_CTX_BASE = 92
+II_STAT_FAULT = 92
+II_STAT_SSD = 95
+II_PAGE_BYTES = 99
+II_NUM_FRAMES = 100
+II_RANDOM_PROBES = 101
+II_VM_HAND = 102
+II_RECLAIM = 103
+II_RNG_DRAWN = 104
+II_KERNEL_FAULTS = 105
+II_CTX_BASE = 106
 
 FF_L3_LATENCY = 0
 FF_MLP = 1
@@ -135,7 +156,8 @@ FF_CYC = 5
 FF_WBUF = 29
 FF_DSTAT = 31
 FF_LOOKUP_CYCLES = 35
-FF_CTX_BASE = 36
+FF_FAULT_LATENCY = 36
+FF_CTX_BASE = 37
 
 P_FWD = 0
 P_INV = 1
@@ -152,14 +174,28 @@ P_SWAP_LOG = 11
 P_ORG_A = 12
 P_ORG_B = 13
 P_DEV = 14
-P_TRACE = 22
+P_RNG = 22
+P_TRACE = 23
+
+#: RK_ERROR's II_ERROR_CODE values, by name.
+_ERROR_CODES = {
+    1: "posted operation outside its device",
+    2: "access outside its device or line space",
+    3: "fault victim frame outside the memory",
+    4: "translation key outside the dense map",
+}
+
+#: Journal record tags (P_SWAP_LOG holds (tag, a, b) triples).
+JR_SWAP = 0
+JR_FAULT = 1
 
 #: One posted heap entry: time(f64), seq, n_ops, ops[4] — 56 bytes.
 _ENTRY = struct.Struct("=dqqqqqq")
 ENTRY_BYTES = _ENTRY.size
 
-#: Journal capacity in frame pairs; the kernel bails for a replay when
-#: it approaches this, so the value only tunes bail frequency.
+#: Journal capacity in records (page swaps and reclaim faults); the
+#: kernel bails for a replay when it approaches this, so the value only
+#: tunes bail frequency.
 SWAP_LOG_CAP = 4096
 
 #: Running-value stat field names, in kernel slot order.
@@ -179,6 +215,8 @@ _DEV_INT_FIELDS = (
     "reads", "writes", "bytes_read", "bytes_written",
     "row_hits", "row_closed", "row_conflicts",
 )
+_FAULT_FIELDS = ("faults", "evictions", "dirty_evictions")
+_SSD_FIELDS = ("page_reads", "page_writes", "bytes_read", "bytes_written")
 
 #: Cap on the dense translation map (entries = contexts x vpages); runs
 #: with larger virtual footprints fall back to the python loop.
@@ -192,6 +230,7 @@ backend_stats = {
     "kernel_runs": 0,
     "fallbacks": 0,
     "kernel_calls": 0,
+    "kernel_faults": 0,
     "bails": {
         "fault": 0, "barrier": 0, "progress": 0, "posted_full": 0,
         "epoch": 0, "swap_log": 0,
@@ -205,6 +244,7 @@ def reset_backend_stats() -> None:
     backend_stats["kernel_runs"] = 0
     backend_stats["fallbacks"] = 0
     backend_stats["kernel_calls"] = 0
+    backend_stats["kernel_faults"] = 0
     backend_stats["bails"] = {
         "fault": 0, "barrier": 0, "progress": 0, "posted_full": 0,
         "epoch": 0, "swap_log": 0,
@@ -262,6 +302,7 @@ def snapshot_backend_stats() -> dict:
         "kernel_runs": backend_stats["kernel_runs"],
         "fallbacks": backend_stats["fallbacks"],
         "kernel_calls": backend_stats["kernel_calls"],
+        "kernel_faults": backend_stats["kernel_faults"],
         "bails": dict(backend_stats["bails"]),
         "by_org": {org: dict(t) for org, t in backend_stats["by_org"].items()},
     }
@@ -296,6 +337,9 @@ def backend_stats_since(before: dict) -> dict:
         "kernel_runs": backend_stats["kernel_runs"] - before.get("kernel_runs", 0),
         "fallbacks": fallbacks,
         "kernel_calls": backend_stats["kernel_calls"] - before.get("kernel_calls", 0),
+        "kernel_faults": (
+            backend_stats["kernel_faults"] - before.get("kernel_faults", 0)
+        ),
         "bails": {
             key: value - before_bails.get(key, 0)
             for key, value in backend_stats["bails"].items()
@@ -312,6 +356,7 @@ def merge_backend_stats(delta: dict) -> None:
     backend_stats["kernel_runs"] += delta.get("kernel_runs", 0)
     backend_stats["fallbacks"] += delta.get("fallbacks", 0)
     backend_stats["kernel_calls"] += delta.get("kernel_calls", 0)
+    backend_stats["kernel_faults"] += delta.get("kernel_faults", 0)
     bails = backend_stats["bails"]
     for key, value in delta.get("bails", {}).items():
         bails[key] = bails.get(key, 0) + value
@@ -399,6 +444,10 @@ def _sync_stats_in(I, F, org, l3, mm, devices, org_kind: int) -> None:
         for i, name in enumerate(_L3_FIELDS):
             I[II_STAT_L3 + i] = getattr(ls, name)
     I[II_STAT_VM] = mm.stats.translations
+    for i, name in enumerate(_FAULT_FIELDS):
+        I[II_STAT_FAULT + i] = getattr(mm.stats, name)
+    for i, name in enumerate(_SSD_FIELDS):
+        I[II_STAT_SSD + i] = getattr(mm.ssd.stats, name)
     for d, dev in enumerate(devices):
         ds = dev.stats
         base = II_STAT_DEV + d * 7
@@ -427,6 +476,10 @@ def _sync_stats_out(I, F, org, l3, mm, devices, org_kind: int) -> None:
         for i, name in enumerate(_L3_FIELDS):
             setattr(ls, name, I[II_STAT_L3 + i])
     mm.stats.translations = I[II_STAT_VM]
+    for i, name in enumerate(_FAULT_FIELDS):
+        setattr(mm.stats, name, I[II_STAT_FAULT + i])
+    for i, name in enumerate(_SSD_FIELDS):
+        setattr(mm.ssd.stats, name, I[II_STAT_SSD + i])
     for d, dev in enumerate(devices):
         ds = dev.stats
         base = II_STAT_DEV + d * 7
@@ -600,8 +653,8 @@ def run_trace_vector(
         devices = [org.stacked, org.offchip]
         demand_dev = 1
     elif type(org) in (TlmStatic, TlmOracle):
-        # Oracle placement only acts at fault time, which always bails, so
-        # its steady state lowers exactly like static TLM.
+        # Oracle placement only acts at first-touch allocation, which
+        # always bails, so it lowers exactly like static TLM.
         org_kind = 3
         devices = [org.stacked, org.offchip]
         demand_dev = 0
@@ -642,6 +695,11 @@ def run_trace_vector(
                 f"trace source {type(gen).__name__} not lowerable", org_name
             )
         trace_columns.append(_columnar_trace(gen, n_accesses))
+        # Synthetic lines are non-negative by construction; a replayed
+        # one need not be, and the dense translation map has no slot
+        # for a negative page.
+        if type(gen) is ReplayTraceSource and min(trace_columns[-1][0]) < 0:
+            return _fallback("negative virtual line in trace", org_name)
 
     N = config.num_contexts
     lines_per_page = config.lines_per_page
@@ -657,7 +715,16 @@ def run_trace_vector(
     backend_stats["kernel_runs"] += 1
     _org_tally(org_name)["kernel_runs"] += 1
     mm = machine.memory_manager
-    migrating = org_kind in (4, 5)
+    # Reclaim faults run in the kernel only on the stock VM classes its
+    # mirror follows, and only while getrandbits(32) covers the frames.
+    replacer = mm.replacer
+    kernel_reclaim = (
+        type(mm) is MemoryManager
+        and type(replacer) is ClockReplacer
+        and type(replacer._rng) is random.Random
+        and type(mm.ssd) is SsdModel
+        and mm.num_frames < 1 << 32
+    )
 
     if pretouch:
         machine.pretouch([gen.footprint_pages for gen in generators])
@@ -683,7 +750,6 @@ def run_trace_vector(
     I[II_SIZE0_BYTES] = config.line_bytes
     I[II_SIZE1_BYTES] = LEAD_BYTES
     I[II_SIZE2_BYTES] = ALLOY_TAD_BYTES
-    I[II_SWAP_LOG_CAP] = SWAP_LOG_CAP
     I[II_CONTEXTS_WARM] = 0 if warmup_accesses else N
 
     if org_kind == 1:
@@ -760,39 +826,48 @@ def run_trace_vector(
         F[FF_WBUF + d] = dev.write_buffer_cycles
 
     # Dense translation maps: fwd[ctx * vstride + vpage] = frame + 1 (0 =
-    # not resident), and for migrating orgs the inverse, inv[frame] =
-    # packed vpage key + 1 (so the kernel can re-point the forward map
-    # when it swaps two frames). Built after pretouch; faults update fwd
-    # incrementally, and any bail that may have migrated pages on the
-    # Python side rebuilds both.
+    # not resident), and the inverse, inv[frame] = packed vpage key + 1
+    # (0 = free, or holding a page outside the dense window), so the
+    # kernel can re-point the forward map when it swaps or reclaims a
+    # frame. Built once, after pretouch; every later mapping change made
+    # on the Python side patches only the frames it touched.
     fwd = array("q", bytes(8 * N * vstride))
-    inv = array("q", bytes(8 * mm.num_frames)) if migrating else None
-
-    def fill_translation_maps():
-        for i in range(len(fwd)):
-            fwd[i] = 0
-        for (asid, vpage), frame in mm.page_table._forward.items():
-            if asid < N and vpage < vstride:
-                fwd[asid * vstride + vpage] = frame + 1
-        if inv is not None:
-            for i in range(len(inv)):
-                inv[i] = 0
-            for frame, vp in enumerate(mm.page_table._vpages):
-                if vp is not None:
-                    asid, vpage = vp
-                    if asid < N and vpage < vstride:
-                        inv[frame] = asid * vstride + vpage + 1
-
-    fill_translation_maps()
+    inv = array("q", bytes(8 * mm.num_frames))
+    for (asid, vpage), frame in mm.page_table._forward.items():
+        if asid < N and vpage < vstride:
+            key = asid * vstride + vpage
+            fwd[key] = frame + 1
+            inv[frame] = key + 1
     P[P_FWD] = _addr_of_array(fwd, keepalive)
-    if inv is not None:
-        P[P_INV] = _addr_of_array(inv, keepalive)
+    P[P_INV] = _addr_of_array(inv, keepalive)
     P[P_PAGE_REF] = _addr_of_bytes(mm.page_table.referenced, keepalive)
     P[P_PAGE_DIRTY] = _addr_of_bytes(mm.page_table.dirty, keepalive)
 
-    swap_log = array("q", bytes(16 * SWAP_LOG_CAP)) if migrating else None
-    if swap_log is not None:
-        P[P_SWAP_LOG] = _addr_of_array(swap_log, keepalive)
+    def patch_swaps(journal):
+        """Apply Python-side frame swaps to the dense maps, in order."""
+        for frame_a, frame_b in journal:
+            key_a, key_b = inv[frame_a], inv[frame_b]
+            if key_a:
+                fwd[key_a - 1] = frame_b + 1
+            if key_b:
+                fwd[key_b - 1] = frame_a + 1
+            inv[frame_a], inv[frame_b] = key_b, key_a
+        journal.clear()
+
+    swap_log = array("q", bytes(24 * SWAP_LOG_CAP))
+    P[P_SWAP_LOG] = _addr_of_array(swap_log, keepalive)
+    I[II_SWAP_LOG_CAP] = SWAP_LOG_CAP
+
+    I[II_PAGE_BYTES] = mm.ssd.page_bytes
+    I[II_NUM_FRAMES] = mm.num_frames
+    I[II_RANDOM_PROBES] = replacer.random_probes
+    F[FF_FAULT_LATENCY] = float(mm.ssd.fault_latency_cycles)
+    rng_state = array("q", bytes(8 * 625))
+    P[P_RNG] = _addr_of_array(rng_state, keepalive)
+    # The RNG crosses into the kernel as Random.getstate()'s words only
+    # when the kernel may draw and Python has drawn since the last copy.
+    rng_loaded = False
+    rng_version = rng_gauss = None
 
     for ctx, (vline, pc, is_write, _) in enumerate(trace_columns):
         P[P_TRACE + ctx * 3] = _addr_of_array(vline, keepalive)
@@ -820,7 +895,7 @@ def run_trace_vector(
     work_per_event = [instr_per_event[c] * config.cpi_base for c in range(N)]
 
     def sync_in():
-        nonlocal posted_cap, posted_buf
+        nonlocal posted_cap, posted_buf, rng_loaded, rng_version, rng_gauss
         _sync_stats_in(I, F, org, l3, mm, devices, org_kind)
         if org_kind == 4:
             I[II_CLOCK_HAND] = org._clock_hand
@@ -835,6 +910,16 @@ def run_trace_vector(
         _encode_posted(posted_list, posted_buf, dev_ids, config.line_bytes)
         I[II_POSTED_LEN] = len(posted_list)
         I[II_POST_SEQ] = org._post_seq
+        # With no frame free none can become free (reclaim refills the
+        # frame it empties, a swap only moves free status), so every
+        # fault until the run ends is a reclaim the kernel can serve.
+        reclaim = kernel_reclaim and not mm._free_set
+        I[II_RECLAIM] = reclaim
+        I[II_VM_HAND] = replacer._hand
+        if reclaim and not rng_loaded:
+            rng_version, words, rng_gauss = replacer._rng.getstate()
+            rng_state[:] = array("q", words)
+            rng_loaded = True
 
     def sync_out():
         _sync_stats_out(I, F, org, l3, mm, devices, org_kind)
@@ -846,13 +931,21 @@ def run_trace_vector(
             org._clock_hand = I[II_CLOCK_HAND]
         elif org_kind == 5:
             org._accesses_in_epoch = I[II_EPOCH_COUNT]
-        n_swaps = I[II_SWAP_LOG_LEN]
-        if n_swaps:
-            # The kernel already swapped the shared referenced/dirty
-            # columns and its dense maps; replaying the journal brings
-            # the Python page table and free lists up to date.
-            for i in range(n_swaps):
-                mm.reconcile_external_swap(swap_log[2 * i], swap_log[2 * i + 1])
+        replacer._hand = I[II_VM_HAND]
+        if I[II_RNG_DRAWN]:
+            replacer._rng.setstate((rng_version, tuple(rng_state), rng_gauss))
+            I[II_RNG_DRAWN] = 0
+        n_records = I[II_SWAP_LOG_LEN]
+        if n_records:
+            # The kernel already updated the shared referenced/dirty
+            # columns and its dense maps; replaying the journal in order
+            # brings the Python page table and free lists up to date.
+            for i in range(0, 3 * n_records, 3):
+                a, b = swap_log[i + 1], swap_log[i + 2]
+                if swap_log[i] == JR_FAULT:
+                    mm.reconcile_external_fault(a, divmod(b, vstride))
+                else:
+                    mm.reconcile_external_swap(a, b)
             I[II_SWAP_LOG_LEN] = 0
 
     def run_faulted_access():
@@ -862,7 +955,8 @@ def run_trace_vector(
         fetched its record, and flushed due posted traffic; it bailed at
         the translation-map miss. This mirrors the python loop's body
         from ``mm.translate`` to the re-schedule, then patches the dense
-        map with the fault's mapping changes.
+        maps: the faulted frame first, then every frame swap the org
+        made on the way, in order.
         """
         ctx = I[II_PENDING_CTX]
         now = F[FF_PENDING_NOW]
@@ -876,6 +970,14 @@ def run_trace_vector(
         translation = mm.translate((ctx, vpage), is_write)
         stall = 0.0
         if translation.faulted:
+            frame = translation.frame
+            # A reclaim reuses the frame it empties: unhook its old page.
+            evicted_key = inv[frame]
+            if evicted_key:
+                fwd[evicted_key - 1] = 0
+            key = ctx * vstride + vpage
+            fwd[key] = frame + 1
+            inv[frame] = key + 1
             evicted = translation.evicted
             evicted_frame = translation.evicted_frame
             if l3 is not None and evicted_frame is not None:
@@ -886,11 +988,6 @@ def run_trace_vector(
                 org.page_drain(now, evicted_frame)
             org.page_fill(now, translation.frame)
             stall += translation.fault_latency
-            fwd[ctx * vstride + vpage] = translation.frame + 1
-            if evicted is not None:
-                evicted_asid, evicted_vpage = evicted[0]
-                if evicted_asid < N and evicted_vpage < vstride:
-                    fwd[evicted_asid * vstride + evicted_vpage] = 0
 
         line_addr = translation.frame * lines_per_page + offset
         go_to_memory = True
@@ -915,52 +1012,56 @@ def run_trace_vector(
             if not is_write:
                 stall += result.latency / mlp
         F[FF_CTX_BASE + ctx] = now + work_per_event[ctx] + stall
-        if migrating:
-            # The accesses above run the org's migration hook on the
-            # Python side, which can re-point arbitrary pages; the
-            # incremental patches are not enough.
-            fill_translation_maps()
+        patch_swaps(swap_journal)
 
     # -- Drive the kernel, handling bails --------------------------------------
-    while True:
-        sync_in()
-        backend_stats["kernel_calls"] += 1
-        rc = lib.rk_run(I_ptr, F_ptr, P_ptr)
-        sync_out()
-        if rc == RK_DONE:
-            break
-        if rc == RK_FAULT:
-            backend_stats["bails"]["fault"] += 1
-            run_faulted_access()
-        elif rc == RK_BARRIER:
-            backend_stats["bails"]["barrier"] += 1
-            machine.reset_measurement_stats()
-            measure_start = [F[FF_PENDING_NOW]] * N
-        elif rc == RK_PROGRESS:
-            backend_stats["bails"]["progress"] += 1
-            if progress_hook is not None:
-                progress_hook(I[II_PROGRESS_COUNT])
-        elif rc == RK_POSTED_FULL:
-            backend_stats["bails"]["posted_full"] += 1
-            posted_cap *= 2
-            posted_buf = bytearray(posted_cap * ENTRY_BYTES)
-            P[P_POSTED] = _addr_of_bytes(posted_buf, keepalive)
-            I[II_POSTED_CAP] = posted_cap
-        elif rc == RK_EPOCH:
-            # TLM-Freq epoch boundary: the exact placement decision runs
-            # through the organization's own code, then the dense maps
-            # are rebuilt to reflect its migrations.
-            backend_stats["bails"]["epoch"] += 1
-            org.service_epoch(F[FF_EPOCH_TIME])
-            fill_translation_maps()
-        elif rc == RK_SWAP_LOG:
-            # Journal headroom: sync_out already replayed and reset it.
-            backend_stats["bails"]["swap_log"] += 1
-        else:
-            raise SimulationError(
-                f"vector kernel internal error (rc={rc}, "
-                f"code={I[II_ERROR_CODE]})"
-            )
+    swap_journal: list = []
+    mm.swap_journal = swap_journal
+    try:
+        while True:
+            sync_in()
+            backend_stats["kernel_calls"] += 1
+            rc = lib.rk_run(I_ptr, F_ptr, P_ptr)
+            sync_out()
+            if rc == RK_DONE:
+                break
+            if rc == RK_FAULT:
+                backend_stats["bails"]["fault"] += 1
+                run_faulted_access()
+                rng_loaded = False  # a reclaim here drew on the Python side
+            elif rc == RK_BARRIER:
+                backend_stats["bails"]["barrier"] += 1
+                machine.reset_measurement_stats()
+                measure_start = [F[FF_PENDING_NOW]] * N
+            elif rc == RK_PROGRESS:
+                backend_stats["bails"]["progress"] += 1
+                if progress_hook is not None:
+                    progress_hook(I[II_PROGRESS_COUNT])
+            elif rc == RK_POSTED_FULL:
+                backend_stats["bails"]["posted_full"] += 1
+                posted_cap *= 2
+                posted_buf = bytearray(posted_cap * ENTRY_BYTES)
+                P[P_POSTED] = _addr_of_bytes(posted_buf, keepalive)
+                I[II_POSTED_CAP] = posted_cap
+            elif rc == RK_EPOCH:
+                # TLM-Freq epoch boundary: the exact placement decision
+                # runs through the organization's own code; its swaps
+                # reach the dense maps through the journal.
+                backend_stats["bails"]["epoch"] += 1
+                org.service_epoch(F[FF_EPOCH_TIME])
+                patch_swaps(swap_journal)
+            elif rc == RK_SWAP_LOG:
+                # Journal headroom: sync_out already replayed and reset it.
+                backend_stats["bails"]["swap_log"] += 1
+            else:
+                code = I[II_ERROR_CODE]
+                raise SimulationError(
+                    f"vector kernel internal error (rc={rc}, code={code}: "
+                    f"{_ERROR_CODES.get(code, 'unknown')})"
+                )
+    finally:
+        mm.swap_journal = None
+        backend_stats["kernel_faults"] += I[II_KERNEL_FAULTS]
 
     finish_times = [F[FF_CTX_BASE + N + c] for c in range(N)]
     del keepalive  # Release buffer exports before handing back the objects.

@@ -108,6 +108,10 @@ class MemoryManager:
         self._free_stacked: List[int] = [f for f in frames if f < stacked_frames]
         self._free_offchip: List[int] = [f for f in frames if f >= stacked_frames]
         self._free_set = set(frames)
+        #: When a list, :meth:`swap_frames` appends every swapped frame
+        #: pair to it. The vector engine installs one for the length of
+        #: a run and drains it to patch its dense translation maps.
+        self.swap_journal: Optional[List[Tuple[int, int]]] = None
         # Reused for every non-faulting translation (the common case).
         self._hit_result = TranslationResult(0, False, 0.0)
 
@@ -141,6 +145,11 @@ class MemoryManager:
         still-free frame moves the "free" status to the vacated frame.
         """
         self.page_table.swap_frames(frame_a, frame_b)
+        self._swap_free_status(frame_a, frame_b)
+        if self.swap_journal is not None:
+            self.swap_journal.append((frame_a, frame_b))
+
+    def _swap_free_status(self, frame_a: int, frame_b: int) -> None:
         a_free = frame_a in self._free_set
         b_free = frame_b in self._free_set
         if a_free == b_free:
@@ -173,19 +182,29 @@ class MemoryManager:
         if vpage_b is not None:
             table._forward[vpage_b] = frame_a
         vpages[frame_a], vpages[frame_b] = vpage_b, vpage_a
-        a_free = frame_a in self._free_set
-        b_free = frame_b in self._free_set
-        if a_free == b_free:
-            return
-        newly_free = frame_a if b_free else frame_b
-        self._free_set.discard(frame_a if a_free else frame_b)
-        self._free_set.add(newly_free)
-        pool = (
-            self._free_stacked
-            if newly_free < self.stacked_frames
-            else self._free_offchip
-        )
-        pool.append(newly_free)
+        self._swap_free_status(frame_a, frame_b)
+
+    def reconcile_external_fault(self, frame: int, vpage: VirtualPage) -> None:
+        """Mirror :meth:`translate`'s reclaim branch the compiled kernel ran.
+
+        The kernel serves a fault only when no frame is free. It picks
+        the victim (the replacer's hand and RNG are synced separately),
+        counts the fault, the eviction and the SSD traffic, and writes
+        the shared referenced/dirty columns. Replaying the journaled
+        record here moves the python-side mapping: the frame's old page
+        leaves the forward map and ``vpage`` takes its place. With no
+        frame free, the free pools hold only stale entries, which the
+        reference path's first :meth:`_pop_free` would discard; so are
+        they here.
+        """
+        table = self.page_table
+        evicted = table._vpages[frame]
+        if evicted is not None:
+            del table._forward[evicted]
+        table._vpages[frame] = vpage
+        table._forward[vpage] = frame
+        self._free_stacked.clear()
+        self._free_offchip.clear()
 
     # -- The translation/fault path ---------------------------------------------
 

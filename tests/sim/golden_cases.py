@@ -30,11 +30,15 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "golden")
 #: Every org on a latency and a capacity workload...
 GOLDEN_WORKLOADS = ("astar", "milc")
 #: ...plus the paging/shootdown path (mcf over-commits the tiny memory)
-#: on the designs with the most distinct eviction behavior, and on the
-#: Embedded/Ideal LLT kernel paths (fault bails, page fill and drain).
+#: on the designs with the most distinct eviction behavior, on the
+#: Embedded/Ideal LLT kernel paths (page fill and drain), and on the
+#: migrating, oracle-placed and DoubleUse orgs, whose reclaim faults run
+#: through the kernel's journaled page-table replay.
 EXTRA_CASES = (
     ("baseline", "mcf"), ("cameo", "mcf"), ("cache", "mcf"),
     ("cameo-embedded-llt", "mcf"), ("cameo-ideal-llt", "mcf"),
+    ("tlm-dynamic", "mcf"), ("tlm-freq", "mcf"), ("tlm-oracle", "mcf"),
+    ("doubleuse", "mcf"),
 )
 
 ACCESSES_PER_CONTEXT = 300
